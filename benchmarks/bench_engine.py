@@ -1,8 +1,10 @@
-"""Engine before/after — semi-naive vs naive, interning on vs off.
+"""Engine before/after — production vs the naive oracle, interning on vs off.
 
 Quantifies what :mod:`repro.engine` buys on the deductive workloads of
 E6-E8 and records the numbers into ``BENCH_engine.json`` (via the
-session collector in ``conftest.py``):
+session collector in ``conftest.py``).  The baseline of every
+before/after pair over a deductive program is the language's naive
+reference driver in :mod:`repro.deductive.oracle`:
 
 * transitive closure on a length-48 chain (the E6 workload scaled to
   where asymptotics show): naive re-joins the full TC relation every
@@ -11,8 +13,10 @@ session collector in ``conftest.py``):
   well above 10x;
 * the same contrast under the inflationary semantics, where the naive
   driver additionally pays a full interpretation copy per round;
-* the E7 BK join rule and the E8 chain prefix under the dirty-predicate
-  rule index, against ``naive=True``;
+* the E7 BK join rule and the E8 chain prefix, hash-join semi-naive
+  against the oracle's unindexed dirty-predicate driver;
+* cost-ordered compiled kernels against the oracle on skewed and
+  one-fact-delta joins;
 * value interning on/off on the TC workload (equality-heavy: every
   derived pair is re-compared against the full relation each round).
 
@@ -23,9 +27,9 @@ numbers can never come from computing something different.
 import time
 
 from repro.budget import Budget
+from repro.deductive import oracle
 from repro.deductive.ast import PredLit, Rule, TupD, VarD
 from repro.deductive.bk import chain_to_list_program, join_attempt_program, run_bk
-from repro.deductive.col import Interp
 from repro.engine.ops import HashJoin, Scan, TupleKey, nested_loop_join
 from repro.deductive.datalog import (
     DatalogProgram,
@@ -63,7 +67,7 @@ class TestSeminaiveSpeedup:
         program = transitive_closure_datalog()
         database = chain_graph(TC_LENGTH)
         naive_time, naive_result = _best_of(
-            lambda: run_datalog_stratified(program, database, _unlimited(), naive=True)
+            lambda: oracle.run_stratified(program, database, _unlimited())
         )
         semi_time, semi_result = _best_of(
             lambda: run_datalog_stratified(program, database, _unlimited())
@@ -83,7 +87,7 @@ class TestSeminaiveSpeedup:
         program = transitive_closure_datalog()
         database = chain_graph(TC_LENGTH)
         naive_time, naive_result = _best_of(
-            lambda: run_datalog_inflationary(program, database, _unlimited(), naive=True)
+            lambda: oracle.run_inflationary(program, database, _unlimited())
         )
         semi_time, semi_result = _best_of(
             lambda: run_datalog_inflationary(program, database, _unlimited())
@@ -108,17 +112,17 @@ class TestBKRuleIndex:
             "R2": [{"B": "b0", "C": f"c{j}"} for j in range(3)],
         }
         budget = Budget(objects=None, steps=None, facts=None, iterations=None)
-        naive_time, naive_result = _best_of(
-            lambda: run_bk(program, data, budget, naive=True)
+        oracle_time, oracle_result = _best_of(
+            lambda: oracle.run_bk(program, data, budget)
         )
         indexed_time, indexed_result = _best_of(lambda: run_bk(program, data, budget))
-        assert indexed_result == naive_result
+        assert indexed_result == oracle_result
         engine_record(
             "bk_e7_join_rule_index",
-            workload="E7 join-attempt, 3x3",
-            naive_seconds=round(naive_time, 4),
+            workload="E7 join-attempt, 3x3, against the naive oracle",
+            oracle_seconds=round(oracle_time, 4),
             indexed_seconds=round(indexed_time, 4),
-            speedup=round(naive_time / indexed_time, 2),
+            speedup=round(oracle_time / indexed_time, 2),
         )
 
     def test_e8_chain_prefix(self, engine_record):
@@ -127,18 +131,18 @@ class TestBKRuleIndex:
         budget_factory = lambda: Budget(
             objects=None, steps=None, facts=None, iterations=None
         )
-        naive_time, naive_result = _best_of(
-            lambda: run_bk(program, data, budget_factory(), max_rounds=4, naive=True)
+        oracle_time, oracle_result = _best_of(
+            lambda: oracle.run_bk(program, data, budget_factory(), max_rounds=4)
         )
         indexed_time, indexed_result = _best_of(
             lambda: run_bk(program, data, budget_factory(), max_rounds=4)
         )
-        assert indexed_result == naive_result
-        speedup = naive_time / indexed_time
+        assert indexed_result == oracle_result
+        speedup = oracle_time / indexed_time
         engine_record(
             "bk_e8_chain_rule_index",
-            workload="E8 chain-to-list, length 3, 4 rounds",
-            naive_seconds=round(naive_time, 4),
+            workload="E8 chain-to-list, length 3, 4 rounds, against the naive oracle",
+            oracle_seconds=round(oracle_time, 4),
             indexed_seconds=round(indexed_time, 4),
             speedup=round(speedup, 2),
         )
@@ -148,9 +152,8 @@ class TestBKRuleIndex:
 
 
 class TestBKHashJoinVsDirty:
-    """The hash-join semi-naive driver against the legacy dirty-predicate
-    rule index it replaced (kept as ``mode="dirty"`` for exactly this
-    comparison)."""
+    """The hash-join semi-naive driver against the dirty-predicate rule
+    index it replaced, which is now BK's naive oracle."""
 
     def test_e7_join(self, engine_record):
         program = join_attempt_program()
@@ -160,7 +163,7 @@ class TestBKHashJoinVsDirty:
         }
         budget = Budget(objects=None, steps=None, facts=None, iterations=None)
         dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget, mode="dirty")
+            lambda: oracle.run_bk(program, data, budget)
         )
         hash_time, hash_result = _best_of(lambda: run_bk(program, data, budget))
         assert hash_result == dirty_result
@@ -179,7 +182,7 @@ class TestBKHashJoinVsDirty:
             objects=None, steps=None, facts=None, iterations=None
         )
         dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget_factory(), max_rounds=4, mode="dirty")
+            lambda: oracle.run_bk(program, data, budget_factory(), max_rounds=4)
         )
         hash_time, hash_result = _best_of(
             lambda: run_bk(program, data, budget_factory(), max_rounds=4)
@@ -241,22 +244,12 @@ class TestKernelJoin:
         assert speedup >= 1.0
 
 
-def _timed_in_mode(mode: str, fn, repeats: int = 3):
-    """``_best_of(fn)`` with ``Interp.exec_mode`` pinned to *mode*."""
-    previous = Interp.exec_mode
-    Interp.exec_mode = mode
-    try:
-        return _best_of(fn, repeats)
-    finally:
-        Interp.exec_mode = previous
-
-
 def _skewed_join_database(wide: int, narrow: int, rounds: int) -> Database:
     """One wide and one narrow binary relation joined on the middle
     variable, re-fired every round by a slowly growing ``Step`` chain.
-    Textual order re-scans the wide literal each round; the cost order
-    seeds from the round's delta and probes the wide literal through
-    its persistent index."""
+    The oracle re-joins the wide literal in full each round; the cost
+    order seeds from the round's delta and probes the wide literal
+    through its persistent index."""
     schema = Schema(
         {
             "Wide": parse_type("[U, U]"),
@@ -332,68 +325,58 @@ def _reverse_reach_database(length: int) -> Database:
 
 
 class TestJoinOrdering:
-    """The cost-based join orderer + compiled kernels against the legacy
-    textual-order interpreted path, toggled via ``Interp.exec_mode``.
+    """Cost-ordered compiled kernels, semi-naive, against the naive
+    oracle's textual-order full re-joins.
 
-    Every pair cross-checks result equality across modes, so the
-    speedups cannot come from computing something different.
+    Every pair cross-checks result equality, so the speedups cannot
+    come from computing something different.
     """
+
+    def _against_oracle(self, program, database, repeats: int = 3) -> tuple:
+        """``(oracle seconds, compiled seconds)``, results cross-checked."""
+        oracle_time, oracle_result = _best_of(
+            lambda: oracle.run_stratified(program, database, _unlimited()), repeats
+        )
+        compiled_time, compiled_result = _best_of(
+            lambda: run_datalog_stratified(program, database, _unlimited()), repeats
+        )
+        assert compiled_result == oracle_result
+        return oracle_time, compiled_time
 
     def test_skewed_join(self, engine_record):
         program = _skewed_join_program()
         database = _skewed_join_database(wide=2000, narrow=3, rounds=30)
-        textual_time, textual_result = _timed_in_mode(
-            "textual",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        assert compiled_result == textual_result
-        speedup = textual_time / compiled_time
+        oracle_time, compiled_time = self._against_oracle(program, database)
+        speedup = oracle_time / compiled_time
         engine_record(
             "join_order_skewed",
             workload=(
                 "Wide(2000) x Narrow(3) join re-fired over 30 delta rounds, "
-                "textual order pessimal"
+                "against the naive oracle (textual order pessimal)"
             ),
-            textual_seconds=round(textual_time, 4),
+            oracle_seconds=round(oracle_time, 4),
             compiled_seconds=round(compiled_time, 4),
             speedup=round(speedup, 2),
         )
-        # The tentpole acceptance bar: the cost order seeds each round
-        # from the one-fact Step delta and probes Wide through its
-        # persistent index; textual order re-enumerates all 2000 wide
-        # bindings every round.
+        # The cost order seeds each round from the one-fact Step delta
+        # and probes Wide through its persistent index; the oracle
+        # re-enumerates all 2000 wide bindings every round.
         assert speedup >= 2.0
 
     def test_kernel_vs_interpreted(self, engine_record):
-        # Same chosen order on both sides — "ordered" replays the cost
-        # order through the interpreted extend_with_literal path, so
-        # this isolates what compilation itself buys: the interpreted
-        # path re-derives determined positions, join specs, and the
-        # batch-vs-probe decision per round, which tiny per-round delta
-        # batches never amortize.
+        # The interpreted baseline is the oracle's textual join
+        # (extend_with_literal), the one interpreted join left.
         program = _skewed_join_program()
         database = _skewed_join_database(wide=2000, narrow=3, rounds=30)
-        ordered_time, ordered_result = _timed_in_mode(
-            "ordered",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-        )
-        assert compiled_result == ordered_result
-        speedup = ordered_time / compiled_time
+        oracle_time, compiled_time = self._against_oracle(program, database)
+        speedup = oracle_time / compiled_time
         engine_record(
             "kernel_vs_interpreted",
             workload=(
                 "Wide(2000) x Narrow(3) join re-fired over 30 delta rounds, "
-                "cost order on both sides"
+                "against the naive oracle's interpreted join"
             ),
-            interpreted_seconds=round(ordered_time, 4),
+            interpreted_seconds=round(oracle_time, 4),
             compiled_seconds=round(compiled_time, 4),
             speedup=round(speedup, 2),
         )
@@ -406,25 +389,15 @@ class TestJoinOrdering:
         # cumulative fallback scanning and builds once.
         program = _reverse_reach_program()
         database = _reverse_reach_database(length=320)
-        # Both arms finish in milliseconds, so best-of-3 is dominated by
-        # scheduler noise; more repeats lets the minimum converge and
-        # keeps the speedup ratio stable across loaded machines.
-        textual_time, textual_result = _timed_in_mode(
-            "textual",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-            repeats=9,
-        )
-        compiled_time, compiled_result = _timed_in_mode(
-            "compiled",
-            lambda: run_datalog_stratified(program, database, _unlimited()),
-            repeats=9,
-        )
-        assert compiled_result == textual_result
-        speedup = textual_time / compiled_time
+        # Both arms are short, so best-of-3 is dominated by scheduler
+        # noise; more repeats lets the minimum converge and keeps the
+        # speedup ratio stable across loaded machines.
+        oracle_time, compiled_time = self._against_oracle(program, database, repeats=9)
+        speedup = oracle_time / compiled_time
         engine_record(
             "join_order_adaptive_small_batch",
-            workload="reverse reach over chain(320), delta of 1 per round",
-            textual_seconds=round(textual_time, 4),
+            workload="reverse reach over chain(320), delta of 1 per round, against the naive oracle",
+            oracle_seconds=round(oracle_time, 4),
             compiled_seconds=round(compiled_time, 4),
             speedup=round(speedup, 2),
         )
@@ -432,9 +405,10 @@ class TestJoinOrdering:
 
 
 class TestBKAdaptiveSmall:
-    """E7-small regime: the adaptive hash-join driver against the legacy
-    dirty-predicate index on a join wide enough to show the amortized
-    index reuse (the 3x3 entry above hovered at ~1.0x by design)."""
+    """E7-small regime: the adaptive hash-join driver against the
+    oracle's dirty-predicate driver on a join wide enough to show the
+    amortized index reuse (the 3x3 entry above hovered at ~1.0x by
+    design)."""
 
     def test_e7_small(self, engine_record):
         program = join_attempt_program()
@@ -444,7 +418,7 @@ class TestBKAdaptiveSmall:
         }
         budget = Budget(objects=None, steps=None, facts=None, iterations=None)
         dirty_time, dirty_result = _best_of(
-            lambda: run_bk(program, data, budget, mode="dirty")
+            lambda: oracle.run_bk(program, data, budget)
         )
         hash_time, hash_result = _best_of(lambda: run_bk(program, data, budget))
         assert hash_result == dirty_result

@@ -53,9 +53,7 @@ from .query.planner import build_plan, execute_plan
 
 # The operational surface, consolidated here by the observability
 # redesign: the serving layer, durable storage, the statistics catalog,
-# and the repro.obs entry points.  Old deep-import paths
-# (repro.serve.metrics, repro.serve.trace) keep working as deprecated
-# re-export shims.
+# and the repro.obs entry points.
 from . import obs
 from .catalog import Catalog
 from .obs import (

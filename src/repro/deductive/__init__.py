@@ -1,6 +1,7 @@
 """Deductive languages: COL (str/inf), DATALOG¬, and the BK calculus.
 
-See DESIGN.md Section 2.4.
+See DESIGN.md Section 2.4.  The naive reference drivers every
+production path is checked against live in :mod:`repro.deductive.oracle`.
 """
 
 from .ast import (
@@ -17,7 +18,7 @@ from .ast import (
     TupD,
     VarD,
 )
-from .col import Interp, apply_rule, eval_term, fixpoint, match, rule_substitutions
+from .col import Interp, eval_term, match, rule_substitutions
 from .stratify import dependency_edges, run_stratified, stratify
 from .inflationary import run_inflationary
 from .datalog import (
@@ -47,8 +48,7 @@ from .bk import (
 __all__ = [
     "ColProgram", "ConstD", "DTerm", "EqLit", "FuncLit", "FuncT", "Literal",
     "PredLit", "Rule", "SetD", "TupD", "VarD",
-    "Interp", "apply_rule", "eval_term", "fixpoint", "match",
-    "rule_substitutions",
+    "Interp", "eval_term", "match", "rule_substitutions",
     "dependency_edges", "run_stratified", "stratify",
     "run_inflationary",
     "DatalogProgram", "non_reachable_datalog", "run_datalog_inflationary",

@@ -665,7 +665,6 @@ def hashjoin_fixpoint(
     budget: Budget,
     max_rounds: int | None = None,
     stats=None,
-    mode: str = "hashjoin",
     initial_deltas: dict | None = None,
 ) -> bool:
     """The (semi-naive) round loop over mutable *extents*.
@@ -683,9 +682,7 @@ def hashjoin_fixpoint(
     state: dict = {"deltas": initial_deltas}  # None = full first round
 
     def step(round_number: int) -> bool:
-        if mode == "naive":
-            use_deltas = None
-        elif round_number == 1:
+        if round_number == 1:
             use_deltas = initial_deltas  # None unless continuing
         else:
             use_deltas = state["deltas"]
@@ -714,8 +711,6 @@ def run_bk(
     database: Mapping,
     budget: Budget | None = None,
     max_rounds: int | None = None,
-    naive: bool = False,
-    mode: str | None = None,
     trace=None,
 ):
     """Run a BK program to fixpoint.
@@ -725,122 +720,39 @@ def run_bk(
     reduced extent of the answer predicate, or ``?`` if the fixpoint
     does not stabilise within the budget (Example 5.4's divergence).
 
-    Matching keeps BK's lax sub-object discipline.  Evaluation *mode*:
-
-    * ``"hashjoin"`` (default) — semi-naive: rounds after the first
-      only enumerate valuations that use at least one fact derived last
-      round, probing the per-predicate kernel scans' attribute hash
-      indexes built on the cached structural metadata of the facts
-      (:func:`_bk_candidates` over :class:`~repro.engine.ops.Scan`).
-      The per-round extents are identical to the naive driver's — an
-      old-facts-only valuation re-derives a head that is still present
-      or still dominated — so results agree at every ``max_rounds``
-      cut.
-    * ``"dirty"`` — the legacy dirty-predicate rule index: rounds after
-      the first re-evaluate (in full) only rules whose tail predicates
-      changed last round.  Kept as the benchmark baseline that the
-      hash-join mode replaces.
-    * ``"naive"`` (or ``naive=True``) — every rule, every round.
+    Matching keeps BK's lax sub-object discipline.  Evaluation is
+    semi-naive: rounds after the first only enumerate valuations that
+    use at least one fact derived last round, probing the per-predicate
+    kernel scans' attribute hash indexes built on the cached structural
+    metadata of the facts (:func:`_bk_candidates` over
+    :class:`~repro.engine.ops.Scan`).  An old-facts-only valuation
+    re-derives a head that is still present or still dominated, so
+    results agree with the naive reference driver
+    (:func:`repro.deductive.oracle.run_bk`) at the fixpoint.  A run cut
+    off by ``max_rounds`` returns ``?``, which agrees with anything; the
+    oracle may converge rounds earlier, since a rule it re-joins sees
+    facts derived earlier in the same round.
 
     *trace* (a :class:`~repro.engine.exec.PhysicalTrace`) collects the
     physical operator tree for EXPLAIN's post-run actuals.
     """
     from .physical import bk_physical, fixpoint_stats
 
-    if mode is None:
-        mode = "naive" if naive else "hashjoin"
-    elif naive:
-        mode = "naive"
-    if mode not in ("hashjoin", "dirty", "naive"):
-        raise EvaluationError(f"unknown BK evaluation mode {mode!r}")
     budget = budget or Budget()
-    if mode == "dirty":
-        return _run_bk_dirty(program, database, budget, max_rounds)
-
     extents = seed_extents(database)
     stats = fixpoint_stats(trace)
     try:
         converged = hashjoin_fixpoint(
-            program, extents, budget, max_rounds=max_rounds, stats=stats, mode=mode
+            program, extents, budget, max_rounds=max_rounds, stats=stats
         )
         if not converged:
             return UNDEFINED
     except BudgetExceeded:
         return UNDEFINED
     finally:
-        bk_physical(trace, f"bk-{mode}", stats, extents)
+        bk_physical(trace, "bk-hashjoin", stats, extents)
     answer = extents.get(program.answer)
     return reduce_set(SetVal(answer.facts if answer is not None else ()))
-
-
-def _tail_valuations(rule: BKRule, state: dict, budget: Budget) -> Iterator[dict]:
-    """Unindexed tail valuations over plain set extents (legacy driver)."""
-
-    def recurse(tails, valuation):
-        if not tails:
-            yield valuation
-            return
-        tail, rest = tails[0], tails[1:]
-        extent = state.get(tail.pred, set())
-        for bound in extent:
-            for extended in match_leq(tail.pattern, bound, valuation, budget):
-                yield from recurse(rest, extended)
-
-    yield from recurse(list(rule.tails), {})
-
-
-def _run_bk_dirty(
-    program: BKProgram,
-    database: Mapping,
-    budget: Budget,
-    max_rounds: int | None,
-):
-    """The legacy dirty-predicate driver (``mode="dirty"``).
-
-    Rounds after the first re-evaluate only rules whose tail predicates
-    changed last round, but each re-evaluation is a *full* join of the
-    rule over unindexed extents — the scheme the semi-naive hash-join
-    driver replaces (and is benchmarked against in
-    ``benchmarks/bench_engine.py``).
-    """
-    state: dict = {}
-    for name, values in database.items():
-        state[name] = {instantiate(bk_obj(value), {}) for value in values}
-    try:
-        changed = True
-        rounds = 0
-        dirty: set | None = None  # None = first round: evaluate everything
-        while changed:
-            budget.charge("iterations")
-            rounds += 1
-            if max_rounds is not None and rounds > max_rounds:
-                return UNDEFINED
-            changed = False
-            next_dirty: set = set()
-            for rule in program.rules:
-                if dirty is not None and not any(
-                    tail.pred in dirty for tail in rule.tails
-                ):
-                    continue
-                for valuation in list(_tail_valuations(rule, state, budget)):
-                    budget.charge("steps")
-                    derived = instantiate(bk_obj(rule.head.pattern), valuation)
-                    extent = state.setdefault(rule.head.pred, set())
-                    if derived in extent or any(
-                        leq(derived, existing) for existing in extent
-                    ):
-                        continue
-                    budget.charge("facts")
-                    dominated = {e for e in extent if leq(e, derived)}
-                    extent -= dominated
-                    extent.add(derived)
-                    changed = True
-                    next_dirty.add(rule.head.pred)
-            dirty = next_dirty
-    except BudgetExceeded:
-        return UNDEFINED
-    answer = state.get(program.answer, set())
-    return reduce_set(SetVal(answer))
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 An :class:`Interp` holds the current facts: a set of member objects per
 predicate, and a graph ``arg -> set of elements`` per data function.
-Rules are evaluated by naive join over the current facts — variables
-are instantiated by *matching* rule terms against stored objects
-(range-restriction guarantees this covers every variable), never by
-enumerating rtype domains, so untyped-set programs with growing values
-(the Theorem 5.1 counter!) run in time proportional to what they
-derive.
+Rule bodies run through compiled kernels (:mod:`repro.deductive.kernels`)
+that instantiate variables by *matching* rule terms against stored
+objects (range-restriction guarantees this covers every variable),
+never by enumerating rtype domains, so untyped-set programs with
+growing values (the Theorem 5.1 counter!) run in time proportional to
+what they derive.  The naive textual-order drivers live in
+:mod:`repro.deductive.oracle`.
 
 Set-term patterns in bodies are supported when ground or of the
 singleton form ``{t}`` (which is all the paper's constructions need);
@@ -17,33 +18,14 @@ additional expressive payoff here.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..budget import Budget
-from ..catalog.policy import should_index
-from ..engine.ops import (
-    FIRST_COORDINATE,
-    NO_KEY,
-    FixpointDriver,
-    HashJoin,
-    Scan,
-    TupleKey,
-)
+from ..engine.ops import FIRST_COORDINATE, Scan
 from ..errors import EvaluationError
 from ..model.schema import Database
 from ..model.values import SetVal, Tup, Value
-from .ast import (
-    ConstD,
-    DTerm,
-    EqLit,
-    FuncLit,
-    FuncT,
-    PredLit,
-    Rule,
-    SetD,
-    TupD,
-    VarD,
-)
+from .ast import ConstD, DTerm, FuncT, Rule, SetD, TupD, VarD
 
 
 class Interp:
@@ -65,15 +47,6 @@ class Interp:
     #: scan).  Used by the ablation benchmark.
     use_index = True
 
-    #: Class-wide execution-mode switch for rule bodies:
-    #: ``"compiled"`` (default) runs cost-ordered compiled kernels,
-    #: ``"ordered"`` runs the cost-based order through the generic
-    #: interpreted join (isolating ordering from compilation), and
-    #: ``"textual"`` is the legacy literal order — the naive drivers
-    #: always run textually, and the benchmarks flip this to measure
-    #: each layer.
-    exec_mode = "compiled"
-
     def __init__(self):
         self.preds: dict = {}
         self.funcs: dict = {}
@@ -81,19 +54,15 @@ class Interp:
 
     @classmethod
     def from_database(cls, database: Database) -> "Interp":
-        interp = cls()
-        # The textual/naive paths never consult statistics, so only the
-        # cost-ordered modes pay for seeding them.
-        catalog = None
-        if cls.exec_mode in ("compiled", "ordered"):
-            from ..catalog import Catalog
+        from ..catalog import Catalog
 
-            catalog = Catalog.for_database(database)
+        interp = cls()
+        catalog = Catalog.for_database(database)
         for name in database.schema.names():
             for value in database[name].items:
                 interp.add_pred(name, value)
             scan = interp.pred(name)
-            if catalog is not None and scan.facts:
+            if scan.facts:
                 # Seed the scan's statistics snapshot from the
                 # database's catalog: computed once per database, not
                 # once per evaluation, and replaced (never mutated)
@@ -261,321 +230,20 @@ def eval_term(term: DTerm, subst: dict, interp: Interp) -> Value:
     raise EvaluationError(f"unknown term {term!r}")  # pragma: no cover
 
 
-def _candidate_facts(literal: PredLit, interp: Interp, subst: dict):
-    """Facts worth matching against, using the first-coordinate index
-    when the leading tuple component is already determined."""
-    if not Interp.use_index:
-        return interp.preds.get(literal.name, set())
-    term = literal.term
-    lead = None
-    if isinstance(term, TupD):
-        lead = term.items[0]
-    elif isinstance(term, (VarD, ConstD)):
-        lead = term
-    if isinstance(lead, VarD) and lead.name in subst:
-        return interp.pred_by_first(literal.name, subst[lead.name])
-    if isinstance(lead, ConstD):
-        return interp.pred_by_first(literal.name, lead.value)
-    return interp.preds.get(literal.name, set())
-
-
-def _literal_order(body) -> list:
-    """Positive generators, then (binding) equalities, then negations."""
-    generators: list = []
-    equalities: list = []
-    negations: list = []
-    for literal in body:
-        if isinstance(literal, (PredLit, FuncLit)) and literal.positive:
-            generators.append(literal)
-        elif isinstance(literal, EqLit) and literal.positive:
-            equalities.append(literal)
-        else:
-            negations.append(literal)
-    return generators + equalities + negations
-
-
-def _hash_join_positions(term, first_subst: dict) -> list | None:
-    """Tuple positions of *term* whose value is determined per-substitution.
-
-    A position qualifies when its subterm is a constant or a variable
-    bound in the batch (probed via *first_subst* — batches extend a
-    common prefix, so bound-variable sets agree across a batch; a
-    deviant substitution falls back to a scan at probe time).
-    """
-    if not isinstance(term, TupD):
-        return None
-    positions = [
-        (index, sub)
-        for index, sub in enumerate(term.items)
-        if isinstance(sub, ConstD)
-        or (isinstance(sub, VarD) and sub.name in first_subst)
-    ]
-    return positions or None
-
-
-def _hash_join_pred(
-    literal: PredLit,
-    substitutions: list,
-    interp: Interp,
-    budget: Budget,
-    exclude_facts: set | None,
-) -> list | None:
-    """Hash-join a batch of substitutions with a positive predicate literal.
-
-    Probes the scan's persistent :class:`~repro.engine.ops.TupleKey`
-    index keyed on the literal's determined tuple positions (built
-    lazily on first use and maintained incrementally as facts arrive —
-    the values' construction-time cached hashes make the keying O(1)
-    per fact): O(|facts| + |substitutions|) instead of the nested
-    O(|facts| × |substitutions|) scan.  Returns ``None`` when the shape
-    does not qualify (caller falls back to the scan).
-
-    The batch-vs-scan decision is adaptive (no fixed minimum batch):
-    an already-built index is always probed; otherwise a build must be
-    paid for either by this batch's nested work or by the cumulative
-    fallback scanning the scan has already absorbed
-    (``Scan.fallback_work``) — so fixpoints whose batches are
-    individually tiny still amortise one build across rounds.
-    """
-    if not Interp.use_index:
-        return None
-    scan = interp.preds.get(literal.name)
-    if not scan or not len(scan):
-        return None
-    term = literal.term
-    positions = _hash_join_positions(term, substitutions[0])
-    if positions is None:
-        return None
-    spec = TupleKey(len(term.items), tuple(pos for pos, _ in positions))
-    if not scan.has_index(spec):
-        if positions[0][0] == 0:
-            # The leading coordinate is determined, so the persistent
-            # first-coordinate index already prunes the scan to
-            # near-constant work per substitution; a second index over
-            # the remaining positions would cost more than it saves.
-            return None
-        if not should_index(len(substitutions), len(scan), scan.fallback_work):
-            return None
-    join = HashJoin(scan, spec, stats=scan.stats, budget=budget)
-
-    def key_for(subst):
-        try:
-            return tuple(
-                sub.value if isinstance(sub, ConstD) else subst[sub.name]
-                for _, sub in positions
-            )
-        except KeyError:
-            # This substitution does not bind a probed variable: scan.
-            return NO_KEY
-
-    def extend(subst, fact):
-        return list(match(term, fact, subst))
-
-    def fallback(subst):
-        extended: list = []
-        for fact in _candidate_facts(literal, interp, subst):
-            if exclude_facts is not None and fact in exclude_facts:
-                continue
-            budget.charge("steps")
-            extended.extend(match(term, fact, subst))
-        return extended
-
-    return join.join(
-        substitutions, key_for, extend, exclude=exclude_facts, fallback=fallback
-    )
-
-
-def extend_with_literal(
-    literal,
-    substitutions: list,
-    interp: Interp,
-    neg: Interp,
-    budget: Budget,
-    exclude_facts: set | None = None,
-    exclude_pairs: set | None = None,
-) -> list:
-    """One join/filter step: extensions of *substitutions* satisfying
-    *literal*.
-
-    This is the shared kernel of the naive driver below and the
-    semi-naive driver in :mod:`repro.engine.seminaive`.  For positive
-    generators, *exclude_facts* (resp. *exclude_pairs* of ``(arg,
-    element)`` for function literals) removes candidates — the
-    semi-naive scheme uses it to restrict earlier join positions to
-    pre-delta facts so no substitution is derived twice in a round.
-
-    Positive predicate joins over a batch of substitutions go through
-    :func:`_hash_join_pred` when the literal has determined tuple
-    positions; otherwise each substitution scans the (first-coordinate
-    indexed) candidate facts.
-    """
-    next_substitutions: list = []
-    if isinstance(literal, PredLit) and literal.positive:
-        joined = _hash_join_pred(
-            literal, substitutions, interp, budget, exclude_facts
-        )
-        if joined is not None:
-            return joined
-        scan = interp.preds.get(literal.name)
-        stats = scan.stats if scan is not None else None
-        for subst in substitutions:
-            if stats is not None:
-                stats.rows_in += 1
-            facts = _candidate_facts(literal, interp, subst)
-            if scan is not None:
-                scan.fallback_work += len(facts)
-            for fact in facts:
-                if exclude_facts is not None and fact in exclude_facts:
-                    continue
-                budget.charge("steps")
-                before = len(next_substitutions)
-                next_substitutions.extend(match(literal.term, fact, subst))
-                if stats is not None:
-                    stats.rows_out += len(next_substitutions) - before
-    elif isinstance(literal, FuncLit) and literal.positive:
-        graph = interp.funcs.get(literal.func, {})
-        for subst in substitutions:
-            for arg, elements in graph.items():
-                for arg_subst in match(literal.arg, arg, subst):
-                    for element in elements:
-                        if (
-                            exclude_pairs is not None
-                            and (arg, element) in exclude_pairs
-                        ):
-                            continue
-                        budget.charge("steps")
-                        next_substitutions.extend(
-                            match(literal.element, element, arg_subst)
-                        )
-    elif isinstance(literal, PredLit):
-        for subst in substitutions:
-            value = eval_term(literal.term, subst, neg)
-            if value not in neg.preds.get(literal.name, set()):
-                next_substitutions.append(subst)
-    elif isinstance(literal, FuncLit):
-        for subst in substitutions:
-            arg = eval_term(literal.arg, subst, neg)
-            element = eval_term(literal.element, subst, neg)
-            if element not in neg.funcs.get(literal.func, {}).get(arg, set()):
-                next_substitutions.append(subst)
-    elif isinstance(literal, EqLit):
-        for subst in substitutions:
-            # A positive equality with one unbound variable side is a
-            # binder: x ≈ t assigns x the value of t.
-            binder = None
-            if literal.positive:
-                for var_side, val_side in (
-                    (literal.left, literal.right),
-                    (literal.right, literal.left),
-                ):
-                    if (
-                        isinstance(var_side, VarD)
-                        and var_side.name not in subst
-                        and val_side.variables() <= set(subst)
-                    ):
-                        binder = (var_side.name, val_side)
-                        break
-            if binder is not None:
-                name, val_side = binder
-                extended = dict(subst)
-                extended[name] = eval_term(val_side, subst, neg)
-                next_substitutions.append(extended)
-                continue
-            left = eval_term(literal.left, subst, neg)
-            right = eval_term(literal.right, subst, neg)
-            if (left == right) == literal.positive:
-                next_substitutions.append(subst)
-    else:  # pragma: no cover - defensive
-        raise EvaluationError(f"unknown literal {literal!r}")
-    return next_substitutions
-
-
 def rule_substitutions(
     rule: Rule,
     interp: Interp,
     budget: Budget,
     negation_interp: Interp | None = None,
-    exec_mode: str | None = None,
-) -> Iterator[dict]:
+) -> list:
     """All body-satisfying substitutions of *rule* under *interp*.
 
-    Negated literals (and function-value terms in equalities) are
-    evaluated against *negation_interp* when given — the stratified
-    semantics points it at the completed lower strata; the inflationary
-    semantics at the current interpretation.
-
-    *exec_mode* (defaulting to :attr:`Interp.exec_mode`) selects the
-    body execution strategy: ``"compiled"`` and ``"ordered"`` run the
-    cost-based order of :mod:`repro.deductive.ordering` (compiled
-    kernels vs. the generic interpreted join); ``"textual"`` is the
-    legacy literal order used by the naive drivers.
+    The body runs through the rule's cached, cost-ordered compiled
+    kernel (:mod:`repro.deductive.kernels`).  Negated literals (and
+    function-value terms in equalities) are evaluated against
+    *negation_interp* when given — the stratified semantics points it
+    at the completed lower strata; the inflationary semantics at the
+    current interpretation.
     """
     neg = negation_interp if negation_interp is not None else interp
-    mode = Interp.exec_mode if exec_mode is None else exec_mode
-    if mode != "textual":
-        kernel = interp.kernels().kernel(rule)
-        if mode == "compiled":
-            yield from kernel.run([{}], neg, budget)
-        else:
-            yield from kernel.run_interpreted([{}], neg, budget)
-        return
-    substitutions = [dict()]
-    for literal in _literal_order(rule.body):
-        budget.charge("steps")
-        substitutions = extend_with_literal(literal, substitutions, interp, neg, budget)
-        if not substitutions:
-            return
-    yield from substitutions
-
-
-def apply_rule(
-    rule: Rule,
-    interp: Interp,
-    budget: Budget,
-    negation_interp: Interp | None = None,
-    exec_mode: str | None = None,
-) -> bool:
-    """Add all immediate consequences of *rule*; report change."""
-    changed = False
-    head = rule.head
-    for subst in list(
-        rule_substitutions(rule, interp, budget, negation_interp, exec_mode)
-    ):
-        if isinstance(head, PredLit):
-            value = eval_term(head.term, subst, interp)
-            if interp.add_pred(head.name, value):
-                budget.charge("facts")
-                changed = True
-        else:
-            arg = eval_term(head.arg, subst, interp)
-            element = eval_term(head.element, subst, interp)
-            if interp.add_func(head.func, arg, element):
-                budget.charge("facts")
-                changed = True
-    return changed
-
-
-def fixpoint(
-    rules: Iterable[Rule],
-    interp: Interp,
-    budget: Budget,
-    negation_interp: Interp | None = None,
-    stats=None,
-) -> Interp:
-    """Iterate the rules to a (cumulative) fixpoint in place.
-
-    The naive driver is the reference implementation the semi-naive
-    machinery is cross-checked against, so it always runs the legacy
-    textual literal order — the cost-based kernels belong to the
-    semi-naive drivers."""
-    rules = list(rules)
-
-    def step(_round: int) -> bool:
-        changed = False
-        for rule in rules:
-            if apply_rule(rule, interp, budget, negation_interp, exec_mode="textual"):
-                changed = True
-        return changed
-
-    FixpointDriver(budget, stats=stats).run(step)
-    return interp
+    return interp.kernels().kernel(rule).run([{}], neg, budget)

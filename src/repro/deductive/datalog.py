@@ -66,20 +66,18 @@ def run_datalog_stratified(
     program: DatalogProgram,
     database: Database,
     budget: Budget | None = None,
-    naive: bool = False,
 ):
     """Stratified semantics (raises on unstratifiable programs)."""
-    return run_stratified(program, database, budget, naive=naive)
+    return run_stratified(program, database, budget)
 
 
 def run_datalog_inflationary(
     program: DatalogProgram,
     database: Database,
     budget: Budget | None = None,
-    naive: bool = False,
 ):
     """Inflationary semantics (defined for every program)."""
-    return run_inflationary(program, database, budget, naive=naive)
+    return run_inflationary(program, database, budget)
 
 
 def transitive_closure_datalog(relation: str = "R", answer: str = "ANS") -> DatalogProgram:

@@ -27,7 +27,6 @@ def run_inflationary(
     program: ColProgram,
     database: Database,
     budget: Budget | None = None,
-    naive: bool = False,
     trace=None,
 ):
     """COL^inf semantics: the answer instance, or ``?`` on divergence.
@@ -36,63 +35,23 @@ def run_inflationary(
     interpretation (the standard simultaneous inflationary operator);
     rounds repeat until nothing new is derived.
 
-    Rounds run delta-driven by default (the semi-naive driver buffers a
-    round's derivations instead of copying the interpretation, see
-    :mod:`repro.engine.seminaive`); ``naive=True`` selects the original
-    copy-per-round driver.  *trace* collects the physical operator tree
-    for EXPLAIN (see :mod:`repro.deductive.physical`).
+    Rounds run delta-driven: the semi-naive driver buffers a round's
+    derivations instead of copying the interpretation (see
+    :mod:`repro.engine.seminaive`); the copy-per-round reference driver
+    is :func:`repro.deductive.oracle.run_inflationary`.  *trace*
+    collects the physical operator tree for EXPLAIN (see
+    :mod:`repro.deductive.physical`).
     """
+    from ..engine.seminaive import seminaive_inflationary_fixpoint
+    from .physical import col_physical, fixpoint_stats
+
     budget = budget or Budget()
     interp = Interp.from_database(database)
-    if not naive:
-        from ..engine.seminaive import seminaive_inflationary_fixpoint
-        from .physical import col_physical, fixpoint_stats
-
-        stats = fixpoint_stats(trace)
-        try:
-            seminaive_inflationary_fixpoint(
-                program.rules, interp, budget, stats=stats
-            )
-        except BudgetExceeded:
-            return UNDEFINED
-        finally:
-            col_physical(trace, "col-inflationary", stats, interp)
-        return interp.instance(program.answer)
+    stats = fixpoint_stats(trace)
     try:
-        changed = True
-        while changed:
-            budget.charge("iterations")
-            snapshot = interp.copy()
-            changed = False
-            for rule in program.rules:
-                # Positive matching runs on the snapshot; insertions go
-                # into the live interpretation.
-                if _apply_from_snapshot(rule, snapshot, interp, budget):
-                    changed = True
+        seminaive_inflationary_fixpoint(program.rules, interp, budget, stats=stats)
     except BudgetExceeded:
         return UNDEFINED
+    finally:
+        col_physical(trace, "col-inflationary", stats, interp)
     return interp.instance(program.answer)
-
-
-def _apply_from_snapshot(rule, snapshot: Interp, live: Interp, budget: Budget) -> bool:
-    from .col import eval_term, rule_substitutions
-    from .ast import PredLit
-
-    changed = False
-    # Naive reference driver: textual order (see col.fixpoint).
-    for subst in list(
-        rule_substitutions(rule, snapshot, budget, snapshot, exec_mode="textual")
-    ):
-        head = rule.head
-        if isinstance(head, PredLit):
-            value = eval_term(head.term, subst, snapshot)
-            if live.add_pred(head.name, value):
-                budget.charge("facts")
-                changed = True
-        else:
-            arg = eval_term(head.arg, subst, snapshot)
-            element = eval_term(head.element, subst, snapshot)
-            if live.add_func(head.func, arg, element):
-                budget.charge("facts")
-                changed = True
-    return changed

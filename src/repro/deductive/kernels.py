@@ -2,8 +2,8 @@
 
 With a :func:`~repro.deductive.ordering.choose_order` schedule fixed,
 the set of bound variables before each body step is *static*, so most
-of the generic matching machinery in :mod:`repro.deductive.col` can be
-specialised away at compile time:
+of the generic matching machinery (:func:`repro.deductive.col.match`)
+can be specialised away at compile time:
 
 * index specs are pre-resolved — each generator step knows its scan,
   its :class:`~repro.engine.ops.TupleKey` spec over the statically
@@ -30,9 +30,10 @@ moved) when its ordering inputs change materially
 an :class:`~repro.engine.ops.OpStats` block, so EXPLAIN ANALYZE can
 render the chosen order with estimated vs. actual cardinalities.
 
-Budget charging mirrors the interpreted path: one ``steps`` unit per
-candidate fact considered and one per pipeline step, so budget-bounded
-runs observe ``?`` exactly as before.
+Budget charging mirrors the oracle's textual join
+(:mod:`repro.deductive.oracle`): one ``steps`` unit per candidate fact
+considered and one per pipeline step, so budget-bounded runs observe
+``?`` the same way.
 """
 
 from __future__ import annotations
@@ -449,14 +450,13 @@ class CompiledStep:
 class RuleKernel:
     """A rule body compiled against one chosen order (and seed)."""
 
-    __slots__ = ("rule", "seed", "order_key", "sizes", "interp", "steps")
+    __slots__ = ("rule", "seed", "order_key", "sizes", "steps")
 
     def __init__(self, rule, seed, plan, order_key, sizes, interp: Interp):
         self.rule = rule
         self.seed = seed
         self.order_key = order_key
         self.sizes = sizes
-        self.interp = interp
         bound: set = set()
         steps = []
         for plan_step in plan:
@@ -477,35 +477,6 @@ class RuleKernel:
         for step in self.steps:
             charge("steps")
             substitutions = step.run(substitutions, neg, budget, delta)
-            if not substitutions:
-                break
-        return substitutions
-
-    def run_interpreted(self, substitutions, neg, budget, delta=None) -> list:
-        """Execute the *chosen order* through the generic interpreted
-        join (:func:`repro.deductive.col.extend_with_literal`) — the
-        ablation baseline isolating compilation from ordering."""
-        from .col import extend_with_literal
-
-        interp = self.interp
-        for step in self.steps:
-            plan = step.plan
-            stats = step.stats
-            stats.rows_in += len(substitutions)
-            if plan.kind == "seed":
-                stats.rows_out += len(substitutions)
-                continue
-            budget.charge("steps")
-            kwargs = {}
-            if plan.mode == "old" and delta is not None:
-                if isinstance(plan.literal, PredLit):
-                    kwargs["exclude_facts"] = delta.preds.get(plan.literal.name)
-                elif isinstance(plan.literal, FuncLit):
-                    kwargs["exclude_pairs"] = delta.funcs.get(plan.literal.func)
-            substitutions = extend_with_literal(
-                plan.literal, substitutions, interp, neg, budget, **kwargs
-            )
-            stats.rows_out += len(substitutions)
             if not substitutions:
                 break
         return substitutions

@@ -1,8 +1,8 @@
 """Cost-based join ordering for COL rule bodies.
 
-The naive and semi-naive drivers historically evaluated rule bodies in
-*textual* order (grouped generators → equalities → negations, see
-:func:`repro.deductive.col._literal_order`).  For skewed extents that
+The naive reference drivers evaluate rule bodies in *textual* order
+(grouped generators → equalities → negations, see
+:func:`repro.deductive.oracle._literal_order`).  For skewed extents that
 order is pessimal: joining a wide literal before a narrow one
 materialises the cross product the narrow literal would have pruned.
 
@@ -130,7 +130,7 @@ def _per_substitution(literal, bound: set, sizes: dict) -> int:
 def _binder(literal, bound: set):
     """``(name, value_term)`` when *literal* is a binding equality
     under the static bound set, mirroring the dynamic binder check in
-    :func:`repro.deductive.col.extend_with_literal`."""
+    :func:`repro.deductive.oracle.extend_with_literal`."""
     if not (isinstance(literal, EqLit) and literal.positive):
         return None
     for var_side, val_side in (

@@ -113,7 +113,6 @@ def run_stratified(
     program: ColProgram,
     database: Database,
     budget: Budget | None = None,
-    naive: bool = False,
     trace=None,
 ):
     """COL^str semantics: the answer instance, or ``?`` on divergence.
@@ -125,11 +124,11 @@ def run_stratified(
     and the program's value is then ``?``, matching "in this case, we
     view the output to be undefined".
 
-    Strata run semi-naive by default (:mod:`repro.engine.seminaive`);
-    ``naive=True`` selects the original full-re-join driver.  *trace*
-    (a :class:`~repro.engine.exec.PhysicalTrace`) collects the physical
-    operator tree — fixpoint rounds plus per-predicate scan counters —
-    for EXPLAIN's post-run actuals.
+    Strata run semi-naive (:mod:`repro.engine.seminaive`); the naive
+    reference driver is :func:`repro.deductive.oracle.run_stratified`.
+    *trace* (a :class:`~repro.engine.exec.PhysicalTrace`) collects the
+    physical operator tree — fixpoint rounds plus per-predicate scan
+    counters — for EXPLAIN's post-run actuals.
     """
     from ..engine.seminaive import seminaive_fixpoint
     from .physical import col_physical, fixpoint_stats
@@ -142,13 +141,10 @@ def run_stratified(
         for rules in strata:
             frozen = interp.copy()
             seminaive_fixpoint(
-                rules, interp, budget, negation_interp=frozen, naive=naive,
-                stats=stats,
+                rules, interp, budget, negation_interp=frozen, stats=stats
             )
     except BudgetExceeded:
         return UNDEFINED
     finally:
-        col_physical(
-            trace, "col-naive" if naive else "col-stratified", stats, interp
-        )
+        col_physical(trace, "col-stratified", stats, interp)
     return interp.instance(program.answer)

@@ -1,6 +1,6 @@
 """Semi-naive (delta-driven) fixpoint evaluation for COL / DATALOG¬.
 
-The naive drivers in :mod:`repro.deductive` re-join *every* rule against
+The naive drivers (:mod:`repro.deductive.oracle`) re-join *every* rule against
 *every* fact each round, so a fixpoint that runs r rounds over n facts
 does O(r·n) matching work per rule even when a round derived a single
 new fact.  The classic fix is **semi-naive evaluation**: track the
@@ -16,8 +16,8 @@ joins with
 * ``Li+1..Lk`` drawn from the full interpretation,
 
 so every new substitution is found exactly once per round.  Negated
-literals and equalities are filters, evaluated exactly as the naive
-driver evaluates them.
+literals and equalities are filters, applied once their variables are
+bound.
 
 Two drivers cover the repository's two semantics:
 
@@ -34,18 +34,13 @@ Two drivers cover the repository's two semantics:
   value of ``F`` can grow without any single fact matching a body
   position), which keeps the driver exact on every COL program.
 
-Both drivers take ``naive=True`` as an escape hatch that delegates to
-the original drivers, and both are cross-checked against them in
+Both drivers are cross-checked against the naive oracle in
 ``tests/engine/test_seminaive.py`` on the E6/E7/E8 workloads.
 
-Join work inside each position is delegated to
-:func:`repro.deductive.col.extend_with_literal`, which batches the
-pending substitutions through a transient hash join over the
-predicate's facts (keyed on the literal's determined tuple positions)
-whenever the shapes allow it — so both the delta seeds and the
-old/full extensions probe an index instead of scanning every fact per
-substitution.  The index keys hash via the values' construction-time
-cached structural hashes, making the probe O(1) per substitution.
+Join work runs through compiled rule kernels
+(:mod:`repro.deductive.kernels`): one cost-ordered kernel per (rule,
+seed occurrence), probing the predicates' persistent hash indexes
+instead of scanning every fact per substitution.
 """
 
 from __future__ import annotations
@@ -54,14 +49,7 @@ from typing import Iterable
 
 from ..budget import Budget
 from ..deductive.ast import EqLit, FuncLit, FuncT, PredLit, Rule, SetD, TupD
-from ..deductive.col import (
-    Interp,
-    eval_term,
-    extend_with_literal,
-    fixpoint as naive_fixpoint,
-    match,
-    rule_substitutions,
-)
+from ..deductive.col import Interp, eval_term, match, rule_substitutions
 from .ops import FixpointDriver, OpStats
 
 
@@ -117,7 +105,7 @@ def _mentions_function_value(rule: Rule) -> bool:
 
 
 def _rule_profile(rule: Rule) -> tuple:
-    """(positive body preds, positive body funcs, post-join literals)."""
+    """(positive body preds, positive body funcs, positive generators)."""
     preds = {
         l.name for l in rule.body if isinstance(l, PredLit) and l.positive
     }
@@ -127,20 +115,12 @@ def _rule_profile(rule: Rule) -> tuple:
     generators = [
         l for l in rule.body if isinstance(l, (PredLit, FuncLit)) and l.positive
     ]
-    filters = [
-        l
-        for l in rule.body
-        if not (isinstance(l, (PredLit, FuncLit)) and l.positive)
-    ]
-    # Binding equalities before negations, as in the naive literal order.
-    filters.sort(key=lambda l: 0 if isinstance(l, EqLit) and l.positive else 1)
-    return preds, funcs, generators, filters
+    return preds, funcs, generators
 
 
 def _delta_substitutions(
     rule: Rule,
     generators: list,
-    filters: list,
     interp: Interp,
     delta: Delta,
     budget: Budget,
@@ -148,88 +128,13 @@ def _delta_substitutions(
 ) -> list:
     """All substitutions of *rule* that use at least one delta fact.
 
-    Under the (default) ``"compiled"`` / ``"ordered"`` execution modes
-    each seed occurrence runs through a cached, cost-ordered
+    Each seed occurrence runs through a cached, cost-ordered
     :class:`~repro.deductive.kernels.RuleKernel`; the old/delta/full
-    population of every generator is still assigned by its *occurrence*
+    population of every generator is assigned by its *occurrence*
     index relative to the seed (carried in the kernel's step modes), so
     the exactly-once accounting of the textbook scheme is preserved
     under reordering.
     """
-    mode = Interp.exec_mode
-    if mode != "textual":
-        return _delta_substitutions_kernel(
-            rule, generators, interp, delta, budget, neg, mode
-        )
-    results: list = []
-    for index, delta_literal in enumerate(generators):
-        budget.charge("steps")
-        # Seed the join from the delta occurrence of position `index`.
-        seeds: list = []
-        if isinstance(delta_literal, PredLit):
-            for fact in delta.preds.get(delta_literal.name, ()):
-                budget.charge("steps")
-                seeds.extend(match(delta_literal.term, fact, {}))
-        else:
-            for arg, element in delta.funcs.get(delta_literal.func, ()):
-                for arg_subst in match(delta_literal.arg, arg, {}):
-                    budget.charge("steps")
-                    seeds.extend(match(delta_literal.element, element, arg_subst))
-        if not seeds:
-            continue
-        substitutions = seeds
-        for position, literal in enumerate(generators):
-            if position == index:
-                continue
-            if position < index:
-                # Earlier positions: old facts only, so a substitution
-                # with several delta facts is found at exactly one index.
-                if isinstance(literal, PredLit):
-                    substitutions = extend_with_literal(
-                        literal,
-                        substitutions,
-                        interp,
-                        neg,
-                        budget,
-                        exclude_facts=delta.preds.get(literal.name),
-                    )
-                else:
-                    substitutions = extend_with_literal(
-                        literal,
-                        substitutions,
-                        interp,
-                        neg,
-                        budget,
-                        exclude_pairs=delta.funcs.get(literal.func),
-                    )
-            else:
-                substitutions = extend_with_literal(
-                    literal, substitutions, interp, neg, budget
-                )
-            if not substitutions:
-                break
-        if not substitutions:
-            continue
-        for literal in filters:
-            substitutions = extend_with_literal(
-                literal, substitutions, interp, neg, budget
-            )
-            if not substitutions:
-                break
-        results.extend(substitutions)
-    return results
-
-
-def _delta_substitutions_kernel(
-    rule: Rule,
-    generators: list,
-    interp: Interp,
-    delta: Delta,
-    budget: Budget,
-    neg: Interp,
-    mode: str,
-) -> list:
-    """Kernel-backed delta pass: one cached kernel per seed occurrence."""
     results: list = []
     cache = interp.kernels()
     for index, delta_literal in enumerate(generators):
@@ -253,10 +158,7 @@ def _delta_substitutions_kernel(
         if not seeds:
             continue
         kernel = cache.kernel(rule, seed=index)
-        if mode == "compiled":
-            results.extend(kernel.run(seeds, neg, budget, delta=delta))
-        else:
-            results.extend(kernel.run_interpreted(seeds, neg, budget, delta=delta))
+        results.extend(kernel.run(seeds, neg, budget, delta=delta))
     return results
 
 
@@ -293,17 +195,15 @@ def seminaive_fixpoint(
     interp: Interp,
     budget: Budget,
     negation_interp: Interp | None = None,
-    naive: bool = False,
     stats: OpStats | None = None,
     initial_delta: Delta | None = None,
 ) -> Interp:
-    """Delta-driven replacement for :func:`repro.deductive.col.fixpoint`.
+    """Delta-driven replacement for :func:`repro.deductive.oracle.fixpoint`.
 
     Intended for the stratified discipline, where *negation_interp* is
     the frozen union of lower strata (rule bodies are then monotone in
-    *interp* and the least fixpoint is strategy-independent).  With
-    ``naive=True`` the original driver runs instead.  Rounds run
-    through the kernel :class:`~repro.engine.ops.FixpointDriver`;
+    *interp* and the least fixpoint is strategy-independent).  Rounds
+    run through the kernel :class:`~repro.engine.ops.FixpointDriver`;
     *stats* (when given) accumulates the round count for EXPLAIN.
 
     *initial_delta* turns the call into a **continuation**: *interp* is
@@ -314,12 +214,8 @@ def seminaive_fixpoint(
     terms — :func:`repro.store.maintenance.delta_safe`) this computes
     exactly the fixpoint of the enlarged base, which is how the store's
     incremental maintenance refreshes materialized fixpoints without
-    recomputing them.  With ``naive=True`` the continuation request
-    falls back to the naive driver from the current interpretation —
-    still exact for monotone rules, just not delta-driven.
+    recomputing them.
     """
-    if naive:
-        return naive_fixpoint(rules, interp, budget, negation_interp, stats=stats)
     neg = negation_interp if negation_interp is not None else interp
     rules = list(rules)
     profiles = [_rule_profile(rule) for rule in rules]
@@ -343,13 +239,13 @@ def seminaive_fixpoint(
             return not delta.empty()
         delta = state["delta"]
         new_delta = Delta()
-        for rule, (preds, funcs, generators, filters) in zip(rules, profiles):
+        for rule, (preds, funcs, generators) in zip(rules, profiles):
             if not generators:
                 continue  # ground bodies were settled in round 1
             if not delta.touches(preds, funcs):
                 continue  # rule-body index: no delta fact feeds this rule
             substitutions = _delta_substitutions(
-                rule, generators, filters, interp, delta, budget, neg
+                rule, generators, interp, delta, budget, neg
             )
             for subst in substitutions:
                 _apply_consequence(
@@ -397,7 +293,7 @@ def seminaive_inflationary_fixpoint(
         delta = state["delta"]
         pending = []
         for rule, profile, full_rerun in zip(rules, profiles, unsafe):
-            preds, funcs, generators, filters = profile
+            preds, funcs, generators = profile
             if not generators:
                 continue  # ground bodies: decided in round 1 (negation
                 # only flips true->false as the interpretation grows)
@@ -408,7 +304,7 @@ def seminaive_inflationary_fixpoint(
             if not delta.touches(preds, funcs):
                 continue
             for subst in _delta_substitutions(
-                rule, generators, filters, interp, delta, budget, interp
+                rule, generators, interp, delta, budget, interp
             ):
                 pending.append(_consequence(rule, subst, interp))
         delta = Delta()

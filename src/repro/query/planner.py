@@ -43,9 +43,6 @@ BACKEND_RANK = (
     "col-inflationary",
     "bk-hashjoin",
     "calculus",
-    "bk-dirty",
-    "col-naive",
-    "bk-naive",
     "gtm",
     "tm",
     "col-compiled",
@@ -63,16 +60,7 @@ BACKEND_RANK = (
 #: deltas that touch other predicates.  The whole-database routes
 #: (calculus domain enumeration, machine encodings, compiled lowerings)
 #: depend on the global active domain and are deliberately excluded.
-FACT_DRIVEN = frozenset(
-    {
-        "col-stratified",
-        "col-inflationary",
-        "col-naive",
-        "bk-hashjoin",
-        "bk-dirty",
-        "bk-naive",
-    }
-)
+FACT_DRIVEN = frozenset({"col-stratified", "col-inflationary", "bk-hashjoin"})
 
 
 def _rank(backend: str) -> int:
@@ -507,14 +495,6 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
                 _p, db, budget, trace=trace
             ),
         ),
-        Candidate(
-            "col-naive",
-            _cap(cost * 4),
-            "full re-join per round (baseline driver)",
-            lambda db, budget, trace=None, _p=program: run_stratified(
-                _p, db, budget, naive=True, trace=trace
-            ),
-        ),
     ]
     rewrites = [
         Rewrite(
@@ -548,18 +528,17 @@ def _rule_candidates(query: RuleQuery, database: Database, profile):
 def _bk_candidates(query: BKQuery, database: Database, profile):
     from ..deductive.bk import run_bk
 
-    def runner(mode):
-        def run(db, budget, trace=None, _p=query.program, _m=mode):
-            mapping = {name: db[name].items for name in db}
-            return run_bk(_p, mapping, budget, mode=_m, trace=trace)
+    def run(db, budget, trace=None, _p=query.program):
+        mapping = {name: db[name].items for name in db}
+        return run_bk(_p, mapping, budget, trace=trace)
 
-        return run
-
-    base = bk_cost(query.program, profile)
     candidates = [
-        Candidate("bk-hashjoin", base, "semi-naive with per-predicate hash indexes", runner("hashjoin")),
-        Candidate("bk-dirty", _cap(base * 3), "dirty-predicate rule index", runner("dirty")),
-        Candidate("bk-naive", _cap(base * 9), "every rule, every round", runner("naive")),
+        Candidate(
+            "bk-hashjoin",
+            bk_cost(query.program, profile),
+            "semi-naive with per-predicate hash indexes",
+            run,
+        ),
     ]
     return candidates, []
 

@@ -174,7 +174,7 @@ class RequestOutcome:
 
     ``status`` is ``"ok"`` / ``"timeout"`` / ``"error"`` / ``"closed"``;
     ``result`` is the query's value (possibly ``?``) when ``ok``;
-    ``trace`` is the request's :class:`~repro.serve.trace.RequestTrace`.
+    ``trace`` is the request's :class:`~repro.obs.trace.RequestTrace`.
     """
 
     __slots__ = ("status", "result", "trace", "error", "seconds")

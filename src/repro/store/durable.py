@@ -25,7 +25,6 @@ from __future__ import annotations
 import pathlib
 from typing import Mapping
 
-from ..errors import ReproError
 from ..model.schema import Database
 from ..obs.span import span
 from .codec import rows_from_json, rows_to_json
@@ -37,13 +36,9 @@ from .snapshot import (
     write_snapshot,
 )
 from .tx import FactDelta, apply_ops
-from .wal import WriteAheadLog, read_records
+from .wal import StoreError, WriteAheadLog, read_records
 
 __all__ = ["CommitResult", "DurableDatabase", "StoreError", "StoreStats"]
-
-
-class StoreError(ReproError):
-    """The store directory is missing, already in use, or corrupt."""
 
 
 class StoreStats:

@@ -20,6 +20,14 @@ missing terminator, or a CRC mismatch; :func:`read_records` stops at
 the first invalid byte and reports the length of the valid prefix, and
 recovery truncates the file there — the log never yields a partial or
 corrupt transaction, only the state at the last durable commit.
+
+**Failed appends leave no bytes behind.**  An append that raises (a
+short write, ``ENOSPC``, a failed flush) truncates the log back to
+where the record began, so a later acknowledged record never lands
+behind a torn one that recovery would stop at.  A failed ``fsync``
+leaves the file's durable contents unknown: the log then refuses
+every append with :class:`StoreError` until it is reopened (which
+recovery does, re-reading what actually reached the disk).
 """
 
 from __future__ import annotations
@@ -31,10 +39,15 @@ import zlib
 
 from ..errors import ReproError
 
-__all__ = ["WalError", "WalRecord", "WriteAheadLog", "read_records"]
+__all__ = ["StoreError", "WalError", "WalRecord", "WriteAheadLog", "read_records"]
 
 #: Record-format magic; bump on incompatible layout changes.
 MAGIC = b"W1"
+
+
+class StoreError(ReproError):
+    """The store directory is missing, already in use, or corrupt, or
+    its log refuses appends after a failed fsync."""
 
 
 class WalError(ReproError):
@@ -123,7 +136,7 @@ class WriteAheadLog:
     the OS, trading the last few commits for throughput.
     """
 
-    __slots__ = ("path", "sync", "appends", "bytes_written", "_handle")
+    __slots__ = ("path", "sync", "appends", "bytes_written", "_handle", "_refusal")
 
     def __init__(self, path: pathlib.Path | str, sync: bool = True):
         self.path = pathlib.Path(path)
@@ -131,6 +144,7 @@ class WriteAheadLog:
         self.appends = 0
         self.bytes_written = 0
         self._handle = None
+        self._refusal = None  # why appends are refused until reopened
 
     def open(self, truncate_at: int | None = None) -> None:
         """Open for appending; *truncate_at* drops a torn tail first."""
@@ -142,20 +156,47 @@ class WriteAheadLog:
             handle.truncate(truncate_at)
             handle.seek(truncate_at)
         self._handle = handle
+        self._refusal = None
 
     def append(self, lsn: int, payload: dict) -> int:
         """Append one record; returns its byte size.  Durable on return
         when ``sync`` is set."""
         if self._handle is None:
             raise WalError(f"log {self.path} is not open")
+        if self._refusal is not None:
+            raise StoreError(
+                f"log {self.path} refuses appends until reopened: {self._refusal}"
+            )
         record = encode_record(lsn, payload)
-        self._handle.write(record)
-        self._handle.flush()
+        handle = self._handle
+        start = handle.tell()
+        try:
+            handle.write(record)
+            handle.flush()
+        except BaseException:
+            self._rewind(start)
+            raise
         if self.sync:
-            os.fsync(self._handle.fileno())
+            try:
+                os.fsync(handle.fileno())
+            except BaseException as exc:
+                self._refusal = f"fsync failed ({exc!r})"
+                self._rewind(start)
+                raise
         self.appends += 1
         self.bytes_written += len(record)
         return len(record)
+
+    def _rewind(self, offset: int) -> None:
+        """Drop everything past *offset*: the bytes of a failed append.
+        If that fails too the tail is unknown, so refuse further
+        appends until the log is reopened."""
+        try:
+            self._handle.truncate(offset)
+            self._handle.seek(offset)
+        except OSError as exc:
+            if self._refusal is None:
+                self._refusal = f"cannot drop a failed append ({exc!r})"
 
     def size(self) -> int:
         if self._handle is not None:
@@ -177,6 +218,6 @@ class WriteAheadLog:
             os.fsync(self._handle.fileno())
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()

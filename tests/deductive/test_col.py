@@ -14,7 +14,8 @@ from repro.deductive.ast import (
     TupD,
     VarD,
 )
-from repro.deductive.col import Interp, apply_rule, eval_term, fixpoint, match
+from repro.deductive.col import Interp, eval_term, match
+from repro.deductive.oracle import apply_rule, fixpoint
 from repro.errors import EvaluationError
 from repro.model.values import Atom, SetVal, Tup
 

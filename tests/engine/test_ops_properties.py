@@ -6,9 +6,9 @@ Two families of properties pin the kernel down:
   :class:`Scan` index) must produce exactly the multiset of extensions
   the un-indexed reference :func:`nested_loop_join` produces, both at
   the operator level on random binding/fact sets and end-to-end through
-  the COL and BK evaluators on seeded random databases (indexed vs
-  naive/no-index modes are full program runs through different join
-  code paths);
+  the COL and BK evaluators on seeded random databases (production
+  vs :mod:`repro.deductive.oracle` vs the no-index ablation are full
+  program runs through different join code paths);
 * **counter consistency** — the :class:`OpStats` actuals that EXPLAIN
   renders must obey the obvious data-flow inequalities
   (``rows_out <= rows_in * |facts|``, one probe per keyed binding, one
@@ -18,6 +18,7 @@ Two families of properties pin the kernel down:
 from hypothesis import given, settings, strategies as st
 
 from repro.budget import Budget
+from repro.deductive import oracle
 from repro.deductive.bk import BKAtom, BKProgram, BKRule, BKVar, run_bk
 from repro.deductive.col import Interp
 from repro.deductive.stratify import run_stratified
@@ -156,7 +157,7 @@ class TestColIndexedVsNaive:
         database = Database.from_plain(COL_SCHEMA, R=[tuple(p) for p in raw])
         program = parse(TC_TEXT, schema=COL_SCHEMA).program
         indexed = run_stratified(program, database, Budget())
-        naive = run_stratified(program, database, Budget(), naive=True)
+        naive = oracle.run_stratified(program, database, Budget())
         saved = Interp.use_index
         Interp.use_index = False
         try:
@@ -185,15 +186,13 @@ class TestBKModesAgree:
     @given(pairs, pairs)
     @settings(max_examples=40, deadline=None)
     def test_hashjoin_dirty_naive_agree(self, raw1, raw2):
+        # The oracle is the unindexed dirty-predicate naive driver.
         database = {
             "R1": [NamedTup({"A": a, "B": b}) for a, b in raw1],
             "R2": [NamedTup({"B": b, "C": c}) for b, c in raw2],
         }
         program = _bk_join_program()
-        results = {
-            mode: run_bk(program, database, Budget(), mode=mode)
-            for mode in ("hashjoin", "dirty", "naive")
-        }
-        defined = [r for r in results.values() if not is_undefined(r)]
-        assert len(defined) == len(results), f"unexpected ?: {results}"
-        assert results["hashjoin"] == results["dirty"] == results["naive"]
+        hashjoin = run_bk(program, database, Budget())
+        naive = oracle.run_bk(program, database, Budget())
+        assert not is_undefined(hashjoin) and not is_undefined(naive)
+        assert hashjoin == naive

@@ -1,4 +1,4 @@
-"""Semi-naive == naive, cross-checked on the E6/E7/E8 workloads."""
+"""Semi-naive == the naive oracle, cross-checked on the E6/E7/E8 workloads."""
 
 import pytest
 
@@ -13,7 +13,16 @@ from repro.deductive.ast import (
     TupD,
     VarD,
 )
-from repro.deductive.bk import chain_to_list_program, join_attempt_program, run_bk
+from repro.deductive import oracle
+from repro.deductive.bk import (
+    BKAtom,
+    BKProgram,
+    BKRule,
+    BKVar,
+    chain_to_list_program,
+    join_attempt_program,
+    run_bk,
+)
 from repro.deductive.datalog import (
     non_reachable_datalog,
     run_datalog_inflationary,
@@ -38,21 +47,21 @@ class TestDatalogE6:
     @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
     def test_tc_stratified(self, database):
         program = transitive_closure_datalog()
-        naive = run_datalog_stratified(program, database, _unlimited(), naive=True)
+        naive = oracle.run_stratified(program, database, _unlimited())
         semi = run_datalog_stratified(program, database, _unlimited())
         assert semi == naive
 
     @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
     def test_tc_inflationary(self, database):
         program = transitive_closure_datalog()
-        naive = run_datalog_inflationary(program, database, _unlimited(), naive=True)
+        naive = oracle.run_inflationary(program, database, _unlimited())
         semi = run_datalog_inflationary(program, database, _unlimited())
         assert semi == naive
 
     @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
     def test_non_reachable_negation(self, database):
         program = non_reachable_datalog()
-        naive = run_datalog_stratified(program, database, _unlimited(), naive=True)
+        naive = oracle.run_stratified(program, database, _unlimited())
         semi = run_datalog_stratified(program, database, _unlimited())
         assert semi == naive
 
@@ -60,8 +69,8 @@ class TestDatalogE6:
         program = unstratifiable_program("ANS")
         for database in GRAPHS:
             relabelled = database  # R is the move relation modulo name
-            naive = run_datalog_inflationary(
-                _rename(program), relabelled, _unlimited(), naive=True
+            naive = oracle.run_inflationary(
+                _rename(program), relabelled, _unlimited()
             )
             semi = run_datalog_inflationary(_rename(program), relabelled, _unlimited())
             assert semi == naive
@@ -73,9 +82,7 @@ class TestDatalogE6:
         tight = Budget(facts=5)
         assert is_undefined(run_datalog_stratified(program, database, tight))
         tight = Budget(facts=5)
-        assert is_undefined(
-            run_datalog_stratified(program, database, tight, naive=True)
-        )
+        assert is_undefined(oracle.run_stratified(program, database, tight))
 
 
 def _rename(program):
@@ -113,14 +120,14 @@ class TestColFunctions:
     @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
     def test_stratified_with_function_values(self, database):
         program = self._collect_program()
-        naive = run_stratified(program, database, _unlimited(), naive=True)
+        naive = oracle.run_stratified(program, database, _unlimited())
         semi = run_stratified(program, database, _unlimited())
         assert semi == naive
 
     @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
     def test_inflationary_with_function_values(self, database):
         program = self._collect_program()
-        naive = run_inflationary(program, database, _unlimited(), naive=True)
+        naive = oracle.run_inflationary(program, database, _unlimited())
         semi = run_inflationary(program, database, _unlimited())
         assert semi == naive
 
@@ -138,30 +145,86 @@ class TestColFunctions:
         ]
         program = ColProgram(rules, answer="ANS", name="binder")
         database = chain_graph(6)
-        naive = run_stratified(program, database, _unlimited(), naive=True)
+        naive = oracle.run_stratified(program, database, _unlimited())
         semi = run_stratified(program, database, _unlimited())
         assert semi == naive
 
 
+def _bk_budget():
+    return Budget(objects=None, steps=None, facts=None, iterations=None)
+
+
+def _bk_reach_program() -> BKProgram:
+    """Multi-rule recursive BK: reachability over ``E`` copied through
+    ``P``, the recursive rule listed before its base case.  The oracle
+    re-joins a dirty rule in full over the live extents, so a rule sees
+    facts derived earlier in the same round and can converge in fewer
+    rounds than the delta-seeded hash-join driver."""
+    x, y, z, w = BKVar("x"), BKVar("y"), BKVar("z"), BKVar("w")
+    return BKProgram(
+        [
+            BKRule(
+                BKAtom("T", {"F": x, "G": z}),
+                [BKAtom("E", {"F": x, "G": y}), BKAtom("T", {"F": y, "G": z})],
+            ),
+            BKRule(BKAtom("T", {"F": x, "G": y}), [BKAtom("E", {"F": x, "G": y})]),
+            BKRule(BKAtom("P", {"F": x, "G": y}), [BKAtom("T", {"F": x, "G": y})]),
+            BKRule(BKAtom("ANS", w), [BKAtom("P", w)]),
+        ],
+        answer="ANS",
+        name="reach",
+    )
+
+
 class TestBKE7E8:
+    """The hash-join driver agrees with the oracle at every
+    ``max_rounds`` cut, up to Hoare equivalence (a cut-off ``?`` agrees
+    with anything)."""
+
     def test_join_attempt_indexed_equals_naive(self):
         program = join_attempt_program()
         data = {
             "R1": [{"A": f"a{i}", "B": f"b{i}"} for i in range(3)],
             "R2": [{"B": "b0", "C": f"c{j}"} for j in range(2)],
         }
-        budget = Budget(objects=None, steps=None, facts=None, iterations=None)
-        naive = run_bk(program, data, budget, naive=True)
-        indexed = run_bk(program, data, budget)
+        naive = oracle.run_bk(program, data, _bk_budget())
+        indexed = run_bk(program, data, _bk_budget())
+        assert not is_undefined(naive)
         assert indexed == naive
+        # Round 2 derives nothing, so cut 1 is ``?`` and every cut from
+        # 2 on is the fixpoint — on both drivers.
+        for cut in range(1, 4):
+            naive = oracle.run_bk(program, data, _bk_budget(), max_rounds=cut)
+            indexed = run_bk(program, data, _bk_budget(), max_rounds=cut)
+            assert indexed == naive, cut
+            assert is_undefined(indexed) == (cut < 2), cut
 
     def test_chain_prefix_indexed_equals_naive(self):
+        # Example 5.4 never converges (Proposition 5.5): every cut must
+        # be observed as ``?`` by both drivers.
         program = chain_to_list_program()
         data = chain_for_bk(3)
-        make = lambda: Budget(objects=None, steps=None, facts=None, iterations=None)
-        naive = run_bk(program, data, make(), max_rounds=3, naive=True)
-        indexed = run_bk(program, data, make(), max_rounds=3)
-        assert indexed == naive
+        for cut in range(1, 4):
+            naive = oracle.run_bk(program, data, _bk_budget(), max_rounds=cut)
+            indexed = run_bk(program, data, _bk_budget(), max_rounds=cut)
+            assert indexed == naive, cut
+            assert is_undefined(indexed), cut
+
+    def test_multi_rule_recursion_agrees_at_every_cut(self):
+        program = _bk_reach_program()
+        data = {"E": [{"F": f"n{i}", "G": f"n{i + 1}"} for i in range(6)]}
+        fixpoint = oracle.run_bk(program, data, _bk_budget())
+        assert not is_undefined(fixpoint)
+        assert run_bk(program, data, _bk_budget()) == fixpoint
+        for cut in range(1, 8):
+            naive = oracle.run_bk(program, data, _bk_budget(), max_rounds=cut)
+            indexed = run_bk(program, data, _bk_budget(), max_rounds=cut)
+            # Neither driver answers before its fixpoint, and the oracle
+            # never converges later than the hash-join driver.
+            assert is_undefined(naive) or naive == fixpoint, cut
+            assert is_undefined(indexed) or indexed == fixpoint, cut
+            assert not is_undefined(naive) or is_undefined(indexed), cut
+        assert not is_undefined(indexed)
 
     def test_divergence_still_observed(self):
         program = chain_to_list_program()

@@ -1,65 +1,18 @@
-"""The deprecated deep-import paths still work, warning once."""
+"""The package surface: importing ``repro.serve`` warns about nothing,
+and the top-level package exports the operational entry points."""
 
-import importlib
 import pathlib
 import subprocess
 import sys
-import warnings
 
 REPO_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
-def _fresh_import(module_name: str):
-    """Import *module_name* fresh enough to fire its module-level
-    warning, then put the original module back: later tests (and
-    ``monkeypatch.setattr`` string targets) must keep seeing the
-    process's canonical module objects."""
-    saved = sys.modules.get(module_name)
-    sys.modules.pop(module_name, None)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            module = importlib.import_module(module_name)
-    finally:
-        parent_name, _, child = module_name.rpartition(".")
-        if saved is not None:
-            sys.modules[module_name] = saved
-            if parent_name in sys.modules:
-                setattr(sys.modules[parent_name], child, saved)
-        else:
-            sys.modules.pop(module_name, None)
-    return module, [w for w in caught if w.category is DeprecationWarning]
-
-
-class TestServeMetricsShim:
-    def test_warns_and_reexports_the_same_objects(self):
-        shim, deprecations = _fresh_import("repro.serve.metrics")
-        assert deprecations and "repro.obs" in str(deprecations[0].message)
-        import repro.obs.metrics as canonical
-
-        assert shim.Counter is canonical.Counter
-        assert shim.Gauge is canonical.Gauge
-        assert shim.Histogram is canonical.Histogram
-        assert shim.MetricsRegistry is canonical.MetricsRegistry
-        assert shim.DEFAULT_BUCKETS is canonical.DEFAULT_BUCKETS
-
-
-class TestServeTraceShim:
-    def test_warns_and_reexports_the_same_objects(self):
-        shim, deprecations = _fresh_import("repro.serve.trace")
-        assert deprecations and "repro.obs" in str(deprecations[0].message)
-        import repro.obs.trace as canonical
-
-        assert shim.RequestTrace is canonical.RequestTrace
-        assert shim.TraceLog is canonical.TraceLog
-
-
 class TestPackageSurface:
     def test_serve_package_does_not_warn(self):
-        # repro.serve itself imports from repro.obs directly — only the
-        # deprecated deep paths fire the warning.  A subprocess keeps
-        # this hermetic: reloading ``repro.serve`` in-process would
-        # desync the package object other tests already hold.
+        # A subprocess keeps this hermetic: reloading ``repro.serve``
+        # in-process would desync the package object other tests
+        # already hold.
         proc = subprocess.run(
             [
                 sys.executable,
@@ -74,24 +27,6 @@ class TestPackageSurface:
             env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
-
-    def test_deep_import_warns_in_a_fresh_process(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-W",
-                "error::DeprecationWarning",
-                "-c",
-                "import repro.serve.metrics",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode != 0
-        assert "DeprecationWarning" in proc.stderr
-        assert "repro.obs" in proc.stderr
 
     def test_top_level_exports(self):
         import repro

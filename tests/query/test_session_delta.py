@@ -104,7 +104,7 @@ class TestMaterializedViews:
     def test_view_answers_for_fixpoint_drivers(self):
         session = Session(make_db([("a", "b"), ("b", "c")]))
         view = session.materialize(TC)
-        for backend in ("col-stratified", "col-inflationary", "col-naive"):
+        for backend in ("col-stratified", "col-inflationary"):
             result, report = session.run(TC, backend=backend)
             assert report.cached  # served by the view, nothing ran
             assert result == view.answer()
@@ -116,7 +116,7 @@ class TestMaterializedViews:
         stats = session.apply_delta(new_db, delta)
         assert stats["views_refreshed"] == 1
         assert stats["incremental_rounds"] >= 1
-        result, report = session.run(TC, backend="col-naive")
+        result, report = session.run(TC, backend="col-inflationary")
         assert report.cached
         fresh, _ = Session(new_db).run(TC, backend="col-stratified")
         assert result == fresh

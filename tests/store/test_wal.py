@@ -1,8 +1,16 @@
-"""The write-ahead log: framing, CRC, torn tails, truncation."""
+"""The write-ahead log: framing, CRC, torn tails, truncation, failed
+appends."""
+
+import errno
 
 import pytest
 
+from repro.model.schema import Database, Schema
+from repro.model.types import parse_type
+from repro.model.values import Atom, Tup
+from repro.store.durable import DurableDatabase
 from repro.store.wal import (
+    StoreError,
     WalError,
     WriteAheadLog,
     encode_record,
@@ -123,3 +131,67 @@ class TestLifecycle:
         log.close()
         records, _ = read_records(log.path)
         assert [record.lsn for record in records] == [2]
+
+
+def _no_space():
+    return OSError(errno.ENOSPC, "No space left on device")
+
+
+def _edge(source, target):
+    return {"E": [Tup([Atom(source), Atom(target)])]}
+
+
+class TestFailedAppends:
+    def test_torn_write_never_hides_a_later_commit(self, tmp_path):
+        """A write that lands half its record and then fails must not
+        leave those bytes in front of the next, acknowledged record —
+        recovery would stop at them and lose the acknowledged commit."""
+        schema = Schema({"E": parse_type("[U, U]")})
+        directory = tmp_path / "db"
+        durable = DurableDatabase.create(
+            directory, Database(schema, {"E": set()}), sync=False
+        )
+        assert durable.apply(_edge("a", "b")).lsn == 1
+        handle = durable.wal._handle
+        write = handle.write
+
+        def torn_write(data):
+            write(data[: len(data) // 2])
+            raise _no_space()
+
+        handle.write = torn_write
+        with pytest.raises(OSError):
+            durable.apply(_edge("b", "c"))
+        del handle.write
+        acknowledged = durable.apply(_edge("c", "d"))
+        assert acknowledged.lsn == 2
+        durable.close()
+
+        recovered = DurableDatabase.open(directory, sync=False)
+        assert recovered.lsn == 2
+        assert recovered.database == acknowledged.database
+        recovered.close()
+
+    def test_failed_fsync_refuses_appends_until_reopened(self, tmp_path, monkeypatch):
+        path = tmp_path / "wal.log"
+        log = WriteAheadLog(path, sync=True)
+        log.open()
+        log.append(1, {"n": 1})
+        durable_size = log.size()
+
+        def failing_fsync(fd):
+            raise _no_space()
+
+        monkeypatch.setattr("repro.store.wal.os.fsync", failing_fsync)
+        with pytest.raises(OSError):
+            log.append(2, {"n": 2})
+        assert log.size() == durable_size  # the failed record is gone
+        monkeypatch.undo()
+        with pytest.raises(StoreError):
+            log.append(2, {"n": 2})
+        log.close()
+        log.open()
+        log.append(2, {"n": 2})
+        log.close()
+        records, _ = read_records(path)
+        assert [record.lsn for record in records] == [1, 2]
