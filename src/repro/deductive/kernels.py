@@ -23,10 +23,12 @@ can be specialised away at compile time:
   case — still amortise one build across rounds).
 
 Kernels live in a per-:class:`~repro.deductive.col.Interp`
-:class:`KernelCache` keyed on rule identity and seed occurrence; a
-cached kernel is re-ordered (and recompiled only if the order actually
-moved) when its ordering inputs change materially
-(:func:`~repro.deductive.ordering.material_change`).  Each step carries
+:class:`KernelCache` keyed on rule identity and seed occurrence.  When a
+cached kernel's extent sizes change materially
+(:func:`~repro.deductive.ordering.material_change`), its own plan is
+re-costed first (:func:`~repro.deductive.ordering.recost`); only if
+those per-step estimates moved materially too is the body re-ordered,
+and only an actually different order recompiles.  Each step carries
 an :class:`~repro.engine.ops.OpStats` block, so EXPLAIN ANALYZE can
 render the chosen order with estimated vs. actual cardinalities.
 
@@ -45,7 +47,7 @@ from ..model.values import Tup
 from ..obs.span import span
 from .ast import ConstD, EqLit, FuncLit, FuncT, PredLit, SetD, TupD, VarD
 from .col import Interp, _eval_ground, eval_term, match
-from .ordering import choose_order
+from .ordering import choose_order, recost
 
 __all__ = ["KernelCache", "RuleKernel"]
 
@@ -487,9 +489,13 @@ class KernelCache:
 
     Keyed on ``(id(rule), seed)`` — the kernel keeps a strong reference
     to the rule, so ids cannot be recycled under us.  A hit revalidates
-    the cached ordering inputs: sizes that moved materially trigger a
-    re-order, and only an actually-different order recompiles (counted
-    in ``invalidations``).
+    the cached ordering inputs.  Sizes that moved materially re-cost the
+    cached plan's own steps; estimates that moved materially against
+    those the order was chosen under trigger a re-order; and only an
+    actually-different order recompiles (counted in ``invalidations``).
+    Fixpoints whose extents and distinct counts grow together (the
+    Theorem 5.1 histories) thus keep their kernels without re-running
+    the greedy orderer at every doubling.
     """
 
     __slots__ = ("interp", "entries", "hits", "misses", "invalidations")
@@ -548,9 +554,20 @@ class KernelCache:
         if entry is not None and not material_change(entry.sizes, sizes):
             self.hits += 1
             return entry
-        plan, order_key = choose_order(rule.body, self._stats(rule), seed=seed)
+        stats = self._stats(rule)
+        if entry is not None:
+            plan = [step.plan for step in entry.steps]
+            if not material_change(*recost(plan, stats)):
+                entry.sizes = sizes
+                self.hits += 1
+                return entry
+        plan, order_key = choose_order(rule.body, stats, seed=seed)
         if entry is not None:
             if order_key == entry.order_key:
+                # Same order: re-baseline the re-cost on the estimates
+                # it was just re-chosen under.
+                for step, fresh in zip(entry.steps, plan):
+                    step.plan.per = fresh.per
                 entry.sizes = sizes
                 self.hits += 1
                 return entry

@@ -53,7 +53,7 @@ from ..catalog.estimator import (
 from ..catalog.policy import material_change
 from .ast import ConstD, EqLit, FuncLit, PredLit, TupD, VarD
 
-__all__ = ["OrderedStep", "choose_order", "material_change"]
+__all__ = ["OrderedStep", "choose_order", "material_change", "recost"]
 
 
 class OrderedStep:
@@ -68,12 +68,18 @@ class OrderedStep:
     by its execution position.  ``index`` is the literal's original
     position in the rule body; ``est_in``/``est_out`` are the orderer's
     cardinality estimates rendered by EXPLAIN ANALYZE next to the
-    actuals.
+    actuals.  ``per`` is a generator step's estimated matches per input
+    substitution when it was scheduled (``None`` for the other kinds) —
+    the baseline :func:`recost` is compared against.
     """
 
-    __slots__ = ("literal", "index", "kind", "mode", "est_in", "est_out", "binder")
+    __slots__ = (
+        "literal", "index", "kind", "mode", "est_in", "est_out", "binder", "per"
+    )
 
-    def __init__(self, literal, index, kind, mode, est_in, est_out, binder=None):
+    def __init__(
+        self, literal, index, kind, mode, est_in, est_out, binder=None, per=None
+    ):
         self.literal = literal
         self.index = index
         self.kind = kind
@@ -81,6 +87,7 @@ class OrderedStep:
         self.est_in = est_in
         self.est_out = est_out
         self.binder = binder
+        self.per = per
 
     def label(self) -> str:
         marker = {"delta": "Δ", "old": "old"}.get(self.mode)
@@ -213,14 +220,14 @@ def choose_order(body, sizes: dict, seed: int | None = None):
         flush_filters()
 
     while remaining:
-        occurrence, index, literal = min(
-            remaining,
-            key=lambda item: (_per_substitution(item[2], bound, sizes), item[0]),
+        per, occurrence, index, literal = min(
+            (_per_substitution(item[2], bound, sizes),) + item for item in remaining
         )
-        per = _per_substitution(literal, bound, sizes)
         out = cap_estimate(rows * per)
         steps.append(
-            OrderedStep(literal, index, "gen", mode_of(occurrence), rows, out)
+            OrderedStep(
+                literal, index, "gen", mode_of(occurrence), rows, out, per=per
+            )
         )
         rows = out
         bound |= literal.variables()
@@ -235,3 +242,30 @@ def choose_order(body, sizes: dict, seed: int | None = None):
 
     order_key = tuple((step.kind, step.index) for step in steps)
     return steps, order_key
+
+
+def recost(steps, sizes: dict) -> tuple:
+    """``(recorded, current)`` per-substitution estimates of a
+    scheduled plan's generator steps, in plan order.
+
+    *recorded* is what :func:`choose_order` saw when it scheduled
+    *steps*; *current* re-costs the same steps, under the same static
+    bound sets, against *sizes*.  One estimate per generator instead
+    of the greedy's one per remaining candidate per position, so a
+    cache can afford it on every material size change and re-run the
+    orderer only when the plan's own estimates moved.  The seed is
+    left out: it always runs first, and its estimate only scales the
+    row counts, which the greedy's choice never reads.
+    """
+    recorded: dict = {}
+    current: dict = {}
+    bound: set = set()
+    for position, step in enumerate(steps):
+        if step.per is not None:
+            recorded[position] = step.per
+            current[position] = _per_substitution(step.literal, bound, sizes)
+        if step.kind in ("seed", "gen"):
+            bound |= step.literal.variables()
+        elif step.kind == "bind":
+            bound.add(step.binder[0])
+    return recorded, current

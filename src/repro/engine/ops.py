@@ -290,10 +290,14 @@ class Scan:
         """Per-position statistics of the current extent, cached.
 
         The snapshot is recomputed only when the extent has moved
-        materially since it was taken (the same
-        :func:`~repro.catalog.policy.stale_size` rule that gates
-        kernel re-ordering), so fixpoint rounds that trickle facts in
-        read the cached statistics for free.
+        materially since it was taken (:func:`~repro.catalog.policy.
+        stale_size`, the per-symbol rule of
+        :func:`~repro.catalog.policy.material_change`), so fixpoint
+        rounds that trickle facts in read the cached statistics for
+        free.  Kernel re-ordering reads these statistics but is gated
+        separately: a material size change re-costs the cached plan,
+        and only moved per-step estimates re-order it
+        (:class:`~repro.deductive.kernels.KernelCache`).
         """
         from ..catalog.policy import stale_size
         from ..catalog.stats import RelStats

@@ -41,6 +41,18 @@ Join work runs through compiled rule kernels
 (:mod:`repro.deductive.kernels`): one cost-ordered kernel per (rule,
 seed occurrence), probing the predicates' persistent hash indexes
 instead of scanning every fact per substitution.
+
+Compiled programs share work between rules.  Rules whose bodies are
+the *same* tuple of literal objects (Theorem 5.1's compiled δ entries
+put up to five heads on one body) are evaluated once per round and
+every head applied to the result; and each delta literal's seed
+substitutions are matched once per round (:meth:`Delta.seeds_for`)
+however many rules carry that literal.  Parsed programs never share
+literal objects, so for them both are no-ops.  Bodies that differ only
+in constants (one δ entry per machine state and read symbols) are
+skipped outright while some constant they require is carried by no
+fact (:func:`_constant_guards`), so no kernel is compiled or run for
+them until it could match.
 """
 
 from __future__ import annotations
@@ -48,19 +60,26 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..budget import Budget
-from ..deductive.ast import EqLit, FuncLit, FuncT, PredLit, Rule, SetD, TupD
+from ..deductive.ast import ConstD, EqLit, FuncLit, FuncT, PredLit, Rule, SetD, TupD
 from ..deductive.col import Interp, eval_term, match, rule_substitutions
-from .ops import FixpointDriver, OpStats
+from .ops import FixpointDriver, OpStats, TupleKey
 
 
 class Delta:
-    """The facts first derived in one fixpoint round."""
+    """The facts first derived in one fixpoint round.
 
-    __slots__ = ("preds", "funcs")
+    ``seeds`` memoises, per delta literal object, the substitutions
+    matching it against these facts and the ``steps`` that matching
+    costs (see :meth:`seeds_for`).  A delta is read-only while a round
+    consumes it, so the memo never goes stale.
+    """
+
+    __slots__ = ("preds", "funcs", "seeds")
 
     def __init__(self):
         self.preds: dict = {}
         self.funcs: dict = {}
+        self.seeds: dict = {}
 
     def add_pred(self, name: str, value) -> None:
         self.preds.setdefault(name, set()).add(value)
@@ -76,6 +95,36 @@ class Delta:
             (pred_names and not pred_names.isdisjoint(self.preds))
             or (func_names and not func_names.isdisjoint(self.funcs))
         )
+
+    def seeds_for(self, literal, budget: Budget) -> list:
+        """The substitutions matching delta facts against *literal*.
+
+        Matched once per literal object and shared afterwards (kernels
+        never mutate their input substitutions).  Every call charges
+        the matching work, so ``steps`` accounting is the same as if
+        each rule had matched the literal itself.
+        """
+        memo = self.seeds.get(literal)
+        if memo is None:
+            memo = self.seeds[literal] = self._match(literal)
+        seeds, work = memo
+        if work:
+            budget.charge("steps", work)
+        return seeds
+
+    def _match(self, literal) -> tuple:
+        seeds: list = []
+        if isinstance(literal, PredLit):
+            facts = self.preds.get(literal.name, ())
+            for fact in facts:
+                seeds.extend(match(literal.term, fact, {}))
+            return seeds, len(facts)
+        work = 0
+        for arg, element in self.funcs.get(literal.func, ()):
+            for arg_subst in match(literal.arg, arg, {}):
+                work += 1
+                seeds.extend(match(literal.element, element, arg_subst))
+        return seeds, work
 
 
 def _mentions_function_value(rule: Rule) -> bool:
@@ -105,7 +154,8 @@ def _mentions_function_value(rule: Rule) -> bool:
 
 
 def _rule_profile(rule: Rule) -> tuple:
-    """(positive body preds, positive body funcs, positive generators)."""
+    """(positive body preds, positive body funcs, positive generators,
+    constant guards)."""
     preds = {
         l.name for l in rule.body if isinstance(l, PredLit) and l.positive
     }
@@ -115,7 +165,49 @@ def _rule_profile(rule: Rule) -> tuple:
     generators = [
         l for l in rule.body if isinstance(l, (PredLit, FuncLit)) and l.positive
     ]
-    return preds, funcs, generators
+    return preds, funcs, generators, _constant_guards(rule)
+
+
+def _constant_guards(rule: Rule) -> list:
+    """``(predicate, spec, key)`` index probes that must all find a fact
+    for *rule*'s body to have any substitution: the constant positions
+    of each positive tuple literal.  A failed probe proves the body
+    empty against every population (full, old or delta) of that
+    extent."""
+    guards = []
+    for literal in rule.body:
+        if not (
+            isinstance(literal, PredLit)
+            and literal.positive
+            and isinstance(literal.term, TupD)
+        ):
+            continue
+        items = literal.term.items
+        positions = tuple(
+            position for position, item in enumerate(items) if isinstance(item, ConstD)
+        )
+        if positions:
+            guards.append(
+                (
+                    literal.name,
+                    TupleKey(len(items), positions),
+                    tuple(items[position].value for position in positions),
+                )
+            )
+    return guards
+
+
+def _refuted(guards: list, interp: Interp) -> bool:
+    """Does some constant guard find no fact in *interp*?  Never with
+    indexes ablated (:attr:`~repro.deductive.col.Interp.use_index`)."""
+    if not guards or not Interp.use_index:
+        return False
+    preds = interp.preds
+    for name, spec, key in guards:
+        scan = preds.get(name)
+        if scan is None or not scan.index(spec).get(key):
+            return True
+    return False
 
 
 def _delta_substitutions(
@@ -139,27 +231,26 @@ def _delta_substitutions(
     cache = interp.kernels()
     for index, delta_literal in enumerate(generators):
         budget.charge("steps")
-        seeds: list = []
-        if isinstance(delta_literal, PredLit):
-            delta_facts = delta.preds.get(delta_literal.name)
-            if not delta_facts:
-                continue
-            for fact in delta_facts:
-                budget.charge("steps")
-                seeds.extend(match(delta_literal.term, fact, {}))
-        else:
-            delta_pairs = delta.funcs.get(delta_literal.func)
-            if not delta_pairs:
-                continue
-            for arg, element in delta_pairs:
-                for arg_subst in match(delta_literal.arg, arg, {}):
-                    budget.charge("steps")
-                    seeds.extend(match(delta_literal.element, element, arg_subst))
+        seeds = delta.seeds_for(delta_literal, budget)
         if not seeds:
             continue
         kernel = cache.kernel(rule, seed=index)
         results.extend(kernel.run(seeds, neg, budget, delta=delta))
     return results
+
+
+def _body_groups(rules: Iterable[Rule], key=lambda rule: rule.body) -> list:
+    """*rules* grouped by ``key(rule)``, in first-occurrence order.
+
+    Literals compare by identity, so body tuples are equal only when
+    they hold the same literal objects: a group's substitutions are
+    computed once, through its first rule's kernels, and every rule
+    in it applies its head to them.
+    """
+    groups: dict = {}
+    for rule in rules:
+        groups.setdefault(key(rule), []).append(rule)
+    return list(groups.values())
 
 
 def _consequence(rule: Rule, subst: dict, eval_interp: Interp) -> tuple:
@@ -217,9 +308,16 @@ def seminaive_fixpoint(
     recomputing them.
     """
     neg = negation_interp if negation_interp is not None else interp
-    rules = list(rules)
-    profiles = [_rule_profile(rule) for rule in rules]
+    groups = _body_groups(rules)
+    profiles = [_rule_profile(group[0]) for group in groups]
     state: dict = {}
+
+    def apply(group: list, substitutions: list, delta: Delta) -> None:
+        for rule in group:
+            for subst in substitutions:
+                _apply_consequence(
+                    _consequence(rule, subst, interp), interp, budget, delta
+                )
 
     def step(round_number: int) -> bool:
         if round_number == 1:
@@ -230,27 +328,24 @@ def seminaive_fixpoint(
                 return not initial_delta.empty()
             # Round 1: one full cumulative pass seeds the delta.
             delta = Delta()
-            for rule in rules:
-                for subst in list(rule_substitutions(rule, interp, budget, neg)):
-                    _apply_consequence(
-                        _consequence(rule, subst, interp), interp, budget, delta
-                    )
+            for group, (_, _, _, guards) in zip(groups, profiles):
+                if not _refuted(guards, interp):
+                    apply(group, rule_substitutions(group[0], interp, budget, neg), delta)
             state["delta"] = delta
             return not delta.empty()
         delta = state["delta"]
         new_delta = Delta()
-        for rule, (preds, funcs, generators) in zip(rules, profiles):
+        for group, (preds, funcs, generators, guards) in zip(groups, profiles):
             if not generators:
                 continue  # ground bodies were settled in round 1
             if not delta.touches(preds, funcs):
                 continue  # rule-body index: no delta fact feeds this rule
+            if _refuted(guards, interp):
+                continue  # some constant this body needs is in no fact
             substitutions = _delta_substitutions(
-                rule, generators, interp, delta, budget, neg
+                group[0], generators, interp, delta, budget, neg
             )
-            for subst in substitutions:
-                _apply_consequence(
-                    _consequence(rule, subst, interp), interp, budget, new_delta
-                )
+            apply(group, substitutions, new_delta)
         state["delta"] = new_delta
         return not new_delta.empty()
 
@@ -274,39 +369,51 @@ def seminaive_inflationary_fixpoint(
     docstring); everything else is delta-driven.  Rounds run through
     the kernel :class:`~repro.engine.ops.FixpointDriver`.
     """
-    rules = list(rules)
-    profiles = [_rule_profile(rule) for rule in rules]
-    unsafe = [_mentions_function_value(rule) for rule in rules]
+    # A rule using function values re-runs in full, so it only shares
+    # a body with rules that do too.
+    groups = _body_groups(
+        rules, key=lambda rule: (rule.body, _mentions_function_value(rule))
+    )
+    profiles = [_rule_profile(group[0]) for group in groups]
+    unsafe = [_mentions_function_value(group[0]) for group in groups]
     state: dict = {}
 
     def step(round_number: int) -> bool:
-        if round_number == 1:
-            pending = []
-            for rule in rules:
-                for subst in list(rule_substitutions(rule, interp, budget, interp)):
+        pending = []
+
+        def buffer(group: list, substitutions: list) -> None:
+            for rule in group:
+                for subst in substitutions:
                     pending.append(_consequence(rule, subst, interp))
+
+        if round_number == 1:
+            for group, (_, _, _, guards) in zip(groups, profiles):
+                if not _refuted(guards, interp):
+                    buffer(group, rule_substitutions(group[0], interp, budget, interp))
             delta = Delta()
             for fact in pending:
                 _apply_consequence(fact, interp, budget, delta)
             state["delta"] = delta
             return not delta.empty()
         delta = state["delta"]
-        pending = []
-        for rule, profile, full_rerun in zip(rules, profiles, unsafe):
-            preds, funcs, generators = profile
+        for group, profile, full_rerun in zip(groups, profiles, unsafe):
+            preds, funcs, generators, guards = profile
             if not generators:
                 continue  # ground bodies: decided in round 1 (negation
                 # only flips true->false as the interpretation grows)
+            if _refuted(guards, interp):
+                continue
             if full_rerun:
-                for subst in list(rule_substitutions(rule, interp, budget, interp)):
-                    pending.append(_consequence(rule, subst, interp))
+                buffer(group, rule_substitutions(group[0], interp, budget, interp))
                 continue
             if not delta.touches(preds, funcs):
                 continue
-            for subst in _delta_substitutions(
-                rule, generators, interp, delta, budget, interp
-            ):
-                pending.append(_consequence(rule, subst, interp))
+            buffer(
+                group,
+                _delta_substitutions(
+                    group[0], generators, interp, delta, budget, interp
+                ),
+            )
         delta = Delta()
         for fact in pending:
             _apply_consequence(fact, interp, budget, delta)

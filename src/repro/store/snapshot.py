@@ -10,11 +10,14 @@ bytes* — which is how the crash-recovery tests and the CI smoke step
 prove recovery exact: they diff :func:`canonical_state_bytes`, not
 object graphs.
 
-**Atomicity** comes from the classic tmp → fsync → rename dance: a
-snapshot file either exists completely or not at all, so a crash
-mid-checkpoint just leaves the previous snapshot (or none) in place
-and a longer WAL to replay.  After the rename the WAL can be
-truncated; a crash *between* rename and truncation is also safe
+**Atomicity** comes from the classic tmp → fsync → rename → fsync the
+directory dance: a snapshot file either exists completely or not at
+all, so a crash mid-checkpoint just leaves the previous snapshot (or
+none) in place and a longer WAL to replay.  The directory fsync makes
+the rename itself durable before :func:`write_snapshot` returns;
+without it a power loss after the WAL truncation could bring back the
+old directory entry beside an empty log.  After the rename the WAL can
+be truncated; a crash *between* rename and truncation is also safe
 because records carry LSNs and replay skips those at or below the
 snapshot's.
 """
@@ -78,6 +81,11 @@ def write_snapshot(directory: pathlib.Path | str, lsn: int, database: Database) 
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, final)
+    directory_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
     return final
 
 

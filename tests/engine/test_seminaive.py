@@ -5,6 +5,7 @@ import pytest
 from repro.budget import Budget
 from repro.deductive.ast import (
     ColProgram,
+    ConstD,
     EqLit,
     FuncLit,
     FuncT,
@@ -30,9 +31,13 @@ from repro.deductive.datalog import (
     transitive_closure_datalog,
     unstratifiable_program,
 )
+from repro.deductive.col import Interp
 from repro.deductive.inflationary import run_inflationary
 from repro.deductive.stratify import run_stratified
+from repro.engine.seminaive import seminaive_fixpoint, seminaive_inflationary_fixpoint
 from repro.errors import UNDEFINED, is_undefined
+from repro.model.values import Atom
+from repro.query.parser import parse
 from repro.workloads import chain_for_bk, chain_graph, cycle_graph, random_graph
 
 
@@ -148,6 +153,157 @@ class TestColFunctions:
         naive = oracle.run_stratified(program, database, _unlimited())
         semi = run_stratified(program, database, _unlimited())
         assert semi == naive
+
+
+def _shared_body_rules(heads: int, negate: bool) -> list:
+    """The shape Theorem 5.1's compiled δ entries take: one body tuple
+    under *heads* heads, plus a rule extending that body (the same
+    literal objects) with one more generator and filters."""
+    x, y, z, w = VarD("x"), VarD("y"), VarD("z"), VarD("w")
+    body = [PredLit("T", TupD([x, y])), PredLit("R", TupD([y, z]))]
+    shared_heads = [
+        PredLit("T", TupD([x, z])),
+        PredLit("Left", x),
+        PredLit("Pair", TupD([z, x])),
+    ][:heads]
+    extension = [PredLit("R", TupD([z, w])), EqLit(x, w, positive=False)]
+    if negate:
+        extension.append(PredLit("Pair", TupD([w, x]), positive=False))
+    rules = [Rule(PredLit("T", TupD([x, y])), [PredLit("R", TupD([x, y]))])]
+    rules += [Rule(head, body) for head in shared_heads]
+    rules.append(Rule(PredLit("Hop", TupD([x, w])), body + extension))
+    return rules
+
+
+class TestSharedBodies:
+    """Rules sharing one body tuple are evaluated once per round and
+    each delta literal is matched once; both must leave the fixpoint
+    the oracle computes rule by rule."""
+
+    ANSWERS = ("T", "Left", "Pair", "Hop")
+
+    @pytest.mark.parametrize("database", GRAPHS, ids=["chain", "cycle", "random"])
+    @pytest.mark.parametrize("semantics", ["stratified", "inflationary"])
+    def test_agrees_with_oracle(self, database, semantics):
+        production = {"stratified": run_stratified, "inflationary": run_inflationary}
+        reference = {
+            "stratified": oracle.run_stratified,
+            "inflationary": oracle.run_inflationary,
+        }
+        rules = _shared_body_rules(heads=3, negate=True)
+        for answer in self.ANSWERS:
+            program = ColProgram(rules, answer=answer, name="shared-body")
+            expected = reference[semantics](program, database, _unlimited())
+            assert not is_undefined(expected)
+            assert production[semantics](program, database, _unlimited()) == expected
+
+    @pytest.mark.parametrize(
+        "driver", [seminaive_fixpoint, seminaive_inflationary_fixpoint]
+    )
+    def test_heads_on_one_body_compile_no_extra_kernels(self, driver):
+        database = random_graph(9, 18, seed=3)
+
+        def kernels_compiled(heads: int) -> int:
+            interp = Interp.from_database(database)
+            driver(_shared_body_rules(heads, negate=False), interp, _unlimited())
+            return interp.kernels().misses
+
+        single = kernels_compiled(1)
+        assert single > 0
+        assert kernels_compiled(3) == single
+
+
+def _late_constant_rules() -> list:
+    """Bodies whose constants no fact carries at first: ``Mark([y,
+    far])`` appears only once the closure of ``chain(10)`` reaches
+    ``a9``, so ``Hit`` must stay idle until then and fire after;
+    ``Mark([y, near])`` never appears, so ``Never`` must stay empty."""
+    x, y = VarD("x"), VarD("y")
+    far, near = ConstD(Atom("far")), ConstD(Atom("near"))
+    return [
+        Rule(PredLit("T", TupD([x, y])), [PredLit("R", TupD([x, y]))]),
+        Rule(
+            PredLit("T", TupD([x, VarD("z")])),
+            [PredLit("T", TupD([x, y])), PredLit("R", TupD([y, VarD("z")]))],
+        ),
+        Rule(
+            PredLit("Mark", TupD([y, far])),
+            [
+                PredLit("T", TupD([ConstD(Atom("a0")), y])),
+                PredLit("R", TupD([y, ConstD(Atom("a10"))])),
+            ],
+        ),
+        Rule(
+            PredLit("Hit", x),
+            [PredLit("T", TupD([x, y])), PredLit("Mark", TupD([y, far]))],
+        ),
+        Rule(
+            PredLit("Never", x),
+            [PredLit("T", TupD([x, y])), PredLit("Mark", TupD([y, near]))],
+        ),
+    ]
+
+
+class TestConstantGuards:
+    """A body is skipped while a constant it requires is carried by no
+    fact — and evaluated again as soon as one is."""
+
+    @pytest.mark.parametrize("semantics", ["stratified", "inflationary"])
+    def test_agrees_with_oracle(self, semantics):
+        production = {"stratified": run_stratified, "inflationary": run_inflationary}
+        reference = {
+            "stratified": oracle.run_stratified,
+            "inflationary": oracle.run_inflationary,
+        }
+        database = chain_graph(10)
+        rules = _late_constant_rules()
+        for answer, size in (("Mark", 1), ("Hit", 9), ("Never", 0)):
+            program = ColProgram(rules, answer=answer, name="late-constant")
+            expected = reference[semantics](program, database, _unlimited())
+            assert len(expected) == size
+            assert production[semantics](program, database, _unlimited()) == expected
+
+    def test_dead_body_compiles_no_kernel(self):
+        rules = _late_constant_rules()
+        interp = Interp.from_database(chain_graph(10))
+        seminaive_fixpoint(rules, interp, _unlimited())
+        compiled = {id(kernel.rule) for kernel in interp.kernels().kernels()}
+        hit, never = rules[3], rules[4]
+        assert id(hit) in compiled
+        assert id(never) not in compiled
+
+
+BANK_TC = "rules { T(x, y) :- R(x, y). T(x, z) :- T(x, y), R(y, z). } answer T"
+
+
+class TestBudgetParity:
+    """On programs without shared bodies the per-round seed memo and
+    its bulk charge leave ``steps`` accounting exactly as it was when
+    every rule matched its delta literals itself (values pinned from
+    that driver)."""
+
+    @pytest.mark.parametrize(
+        "database, stratified, inflationary",
+        [(random_graph(9, 18, seed=3), 284, 232), (chain_graph(10), 168, 152)],
+        ids=["random", "chain"],
+    )
+    def test_bank_rule_query_steps(self, database, stratified, inflationary):
+        program = parse(BANK_TC, schema=database.schema).program
+        budget = Budget()
+        run_stratified(program, database, budget)
+        assert budget.spent("steps") == stratified
+        budget = Budget()
+        run_inflationary(program, database, budget)
+        assert budget.spent("steps") == inflationary
+
+    def test_negation_steps(self):
+        database = random_graph(9, 18, seed=3)
+        budget = Budget()
+        run_datalog_stratified(non_reachable_datalog(), database, budget)
+        assert budget.spent("steps") == 415
+        budget = Budget()
+        run_datalog_inflationary(non_reachable_datalog(), database, budget)
+        assert budget.spent("steps") == 377
 
 
 def _bk_budget():
